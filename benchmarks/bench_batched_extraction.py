@@ -4,7 +4,7 @@ The batched extraction engine submits all ``n`` unit-vector right-hand sides
 through ``SubstrateSolver.solve_many`` (one stacked-RHS Krylov iteration per
 chunk) instead of re-driving the DCT pipeline once per contact.  This
 benchmark times both paths on the paper's regular-grid example and emits a
-machine-readable ``BENCH_batched.json`` (results dir + repo root) so the
+machine-readable ``BENCH_batched.json`` (under ``benchmarks/results/``) so the
 speedup is tracked across PRs.
 
 Run directly (``REPRO_BENCH_NSIDE=4`` for a CI smoke run)::

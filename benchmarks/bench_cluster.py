@@ -26,8 +26,8 @@ factors), each asking for the same column count:
   still-missing columns (columns the victim solved before dying are
   served from the leader's store, never re-solved).
 
-Emits a machine-readable ``BENCH_cluster.json`` (results dir + repo
-root).  Run directly (``REPRO_BENCH_NSIDE=8`` for the CI smoke gate)::
+Emits a machine-readable ``BENCH_cluster.json`` under
+``benchmarks/results/``.  Run directly (``REPRO_BENCH_NSIDE=8`` for the CI smoke gate)::
 
     PYTHONPATH=src python benchmarks/bench_cluster.py
 """

@@ -4,7 +4,7 @@ For each backplane type this benchmark times full dense extraction with the
 dispatch policy pinned to the iterative engine (stacked-RHS CG / block
 MINRES), pinned to the direct engine (cached dense Cholesky / bordered
 Schur-complement factorisation), and left adaptive, then emits a
-machine-readable ``BENCH_dispatch.json`` (results dir + repo root) so the
+machine-readable ``BENCH_dispatch.json`` (under ``benchmarks/results/``) so the
 crossover behaviour is tracked across PRs.
 
 Gates: the three paths must extract the same ``G``, and the adaptive policy

@@ -10,7 +10,7 @@ simulated process restart (the process-wide factor cache is wiped), which
 must re-serve the workload entirely from the durable corpus.  A crash-
 replay arm checks that a journaled-but-unserved job survives a kill and is
 replayed under its original id.  It emits a machine-readable
-``BENCH_durable.json`` (results dir + repo root).
+``BENCH_durable.json`` (under ``benchmarks/results/``).
 
 Hard gates (every scale, including the CI smoke run):
 

@@ -8,7 +8,7 @@ each **rebuild** their own factor, and — for the eigenfunction backend — run
 the same extraction with ``max_direct_panels`` capped below the contact-panel
 count so the dispatch policy must route through the **tiled** out-of-core
 Cholesky engine.  It emits a machine-readable ``BENCH_factor_plane.json``
-(results dir + repo root); every record carries the host's CPU count and the
+(under ``benchmarks/results/``); every record carries the host's CPU count and the
 process-wide factor-cache counters.
 
 Hard gates (every scale, including the CI smoke run):

@@ -9,7 +9,7 @@ reference), then again under three :mod:`repro.faults` plans — a pool
 worker killed mid-``solve_many``, a transient engine-build failure, and a
 saturated bounded queue behind the real HTTP server (plus a dropped
 dispatch cycle).  It emits a machine-readable ``BENCH_faults.json``
-(results dir + repo root).
+(under ``benchmarks/results/``).
 
 Hard gates (every scale, including the CI smoke run):
 

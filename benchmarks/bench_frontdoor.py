@@ -15,7 +15,8 @@ over a shared substrate:
   ``microbatch_submits < microbatch_queries`` via the service counters.
 
 Everything crosses the wire as the declarative ``/v1`` JSON schema — the
-gate also pins ``legacy_pickle_submits == 0`` (zero pickle on the wire).
+gate also probes the pickle-era paths (``POST /submit``, ``GET /result``)
+and requires both to answer the 404 ``not_found`` envelope.
 
 Agreement gates: streamed blocks and micro-batched pair values must match
 the service's own plain ``/v1/jobs`` submit-and-wait path to **1e-10**
@@ -25,7 +26,7 @@ recorded and gated at 2x the solver's ``rtol`` — the service's warm
 parallel engine and a cold local solver are distinct iterative solves, so
 they agree to solver tolerance, not bit-exactly (that engine-level
 agreement story lives in ``bench_service``).  Emits a machine-readable
-``BENCH_frontdoor.json`` (results dir + repo root).
+``BENCH_frontdoor.json`` (under ``benchmarks/results/``).
 
 Run directly (``REPRO_BENCH_NSIDE=8`` for a CI smoke run)::
 
@@ -36,9 +37,12 @@ or through pytest like the other benchmarks.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
@@ -103,6 +107,26 @@ def _stream_one(url: str, request: JobRequest) -> dict:
         "done_s": done_s,
         "blocks": blocks,
     }
+
+
+#: the retired pickle-era endpoints the gate requires to be absent
+RETIRED_PATHS = (("POST", "/submit"), ("GET", "/result?job_id=job-000001"))
+
+
+def _probe_retired_paths(url: str) -> dict:
+    """``"METHOD path" -> [status, envelope code]`` for each retired path."""
+    answers = {}
+    for method, path in RETIRED_PATHS:
+        body = json.dumps({"request_pickle": ""}).encode() if method == "POST" else None
+        request = urllib.request.Request(url + path, data=body, method=method)
+        try:
+            with urllib.request.urlopen(request, timeout=30.0) as response:
+                status, doc = response.status, json.loads(response.read())
+        except urllib.error.HTTPError as exc:
+            status, doc = exc.code, json.loads(exc.read())
+        code = doc.get("error", {}).get("code") if isinstance(doc, dict) else None
+        answers[f"{method} {path}"] = [status, code]
+    return answers
 
 
 def run_frontdoor_experiment(n_side: int, seed: int = 0) -> dict:
@@ -196,6 +220,7 @@ def run_frontdoor_experiment(n_side: int, seed: int = 0) -> dict:
                 pair_diff = max(pair_diff, float(diff))
 
         frontdoor = ServiceClient(server.url).stats()["frontdoor"]
+        retired_paths = _probe_retired_paths(server.url)
 
     return {
         "n_side": int(n_side),
@@ -214,6 +239,7 @@ def run_frontdoor_experiment(n_side: int, seed: int = 0) -> dict:
         "pairs_wall_s": float(pairs_wall_s),
         "pairs_max_abs_diff_rel": float(pair_diff),
         "frontdoor": frontdoor,
+        "retired_paths": retired_paths,
     }
 
 
@@ -289,8 +315,12 @@ def check(result: dict) -> list[str]:
             f"micro-batching did not coalesce: {frontdoor['microbatch_queries']} "
             f"queries became {frontdoor['microbatch_submits']} submits {where}"
         )
-    if frontdoor["legacy_pickle_submits"] != 0:
-        failures.append(f"pickle crossed the wire {where}")
+    for path, (status, code) in result["retired_paths"].items():
+        if (status, code) != (404, "not_found"):
+            failures.append(
+                f"retired pickle-era path {path} answered {status} {code} "
+                f"instead of 404 not_found {where}"
+            )
     return failures
 
 

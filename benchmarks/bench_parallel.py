@@ -6,7 +6,7 @@ floating) this benchmark times full dense extraction serially and through a
 (``REPRO_BENCH_WORKERS``, default ``2,4``), and measures the cross-solver
 factor cache: cold first-factor time versus the warm load a second solver
 pays over the same ``(layout, profile, grid)``.  It emits a machine-readable
-``BENCH_parallel.json`` (results dir + repo root) so the scaling behaviour is
+``BENCH_parallel.json`` (under ``benchmarks/results/``) so the scaling behaviour is
 tracked across PRs; every record carries the host's CPU count and the
 process-wide factor-cache hit/miss counters.
 

@@ -9,7 +9,7 @@ the same workload as :class:`~repro.service.jobs.JobRequest` jobs to one
 shared substrate fingerprint, solves only the union of fresh columns on a
 persistent warm engine, and serves overlaps from the result store.  A
 2-client round trip through the real HTTP server checks the wire path.  It
-emits a machine-readable ``BENCH_service.json`` (results dir + repo root).
+emits a machine-readable ``BENCH_service.json`` (under ``benchmarks/results/``).
 
 Hard gates (every scale, including the CI smoke run):
 

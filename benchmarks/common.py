@@ -7,8 +7,8 @@ can reference them.  The problem scale defaults to 16 contacts per side
 
 The perf benchmarks (batched extraction, dispatch, parallel extraction) share
 one workflow, centralised here: reference runs (no ``REPRO_BENCH_NSIDE``)
-sweep the paper pair {16, 32} and write the tracked ``BENCH_*.json`` +
-``benchmarks/results/*.txt`` artefacts (JSON also copied to the repo root);
+sweep the paper pair {16, 32} and write the tracked
+``benchmarks/results/BENCH_*.json`` + ``*.txt`` artefacts (one copy each);
 env-overridden smoke runs write gitignored ``*_smoke`` siblings so they can
 never clobber a committed reference record.  Every perf-benchmark JSON record
 also carries the process-wide factor-cache hit/miss counters.
@@ -75,14 +75,14 @@ def factor_cache_record() -> dict:
 def emit_benchmark(json_base: str, payload: dict, txt_base: str, lines: list[str]) -> None:
     """Write one perf benchmark's JSON + text artefacts.
 
-    Reference runs write ``<json_base>.json`` (results dir + repo root) and
-    ``<txt_base>.txt``; smoke runs write the gitignored ``*_smoke`` siblings.
+    Reference runs write ``<json_base>.json`` and ``<txt_base>.txt`` under
+    ``benchmarks/results/``; smoke runs write the gitignored ``*_smoke`` siblings.
     The factor-cache hit/miss counters are stamped into the payload.
     """
     payload.setdefault("factor_cache", factor_cache_record())
     reference = is_reference_run()
     suffix = "" if reference else "_smoke"
-    write_json(json_base + suffix, payload, root_copy=reference)
+    write_json(json_base + suffix, payload)
     write_result(txt_base + suffix, lines)
 
 
@@ -104,20 +104,13 @@ def write_result(name: str, lines: list[str]) -> str:
     return text
 
 
-def write_json(name: str, payload: dict, root_copy: bool = False) -> Path:
-    """Persist a machine-readable benchmark result as JSON.
-
-    Writes ``benchmarks/results/<name>.json``; with ``root_copy`` the same
-    document is also written to ``<repo root>/<name>.json`` so headline
-    artefacts (e.g. ``BENCH_batched.json``) are discoverable without knowing
-    the results layout.  Returns the results-dir path.
-    """
+def write_json(name: str, payload: dict) -> Path:
+    """Persist a machine-readable benchmark result as
+    ``benchmarks/results/<name>.json``; returns that path."""
     RESULTS_DIR.mkdir(exist_ok=True)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     path = RESULTS_DIR / f"{name}.json"
     path.write_text(text)
-    if root_copy:
-        (REPO_ROOT / f"{name}.json").write_text(text)
     print(text)
     return path
 

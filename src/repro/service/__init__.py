@@ -17,15 +17,14 @@ event loop under ``/v1/`` with chunked-NDJSON streaming (columns reach the
 client as their coalesced group's solve lands, before the job completes) and
 HTTP-layer micro-batching of small pair queries, and
 :mod:`~repro.service.client` is the blocking client with typed exceptions
-decoded from the single error envelope.  The legacy threaded server
-(:mod:`~repro.service.server`) serves the same ``/v1`` routes; its pickle-era
-``/submit`` survives only behind an explicit opt-in.
+decoded from the single error envelope.
 :mod:`~repro.service.metrics` aggregates the operational counters behind the
-``/stats`` endpoint.  :mod:`~repro.service.persistence` makes the amortised
+``/v1/stats`` endpoint.  :mod:`~repro.service.persistence` makes the amortised
 state durable: point the scheduler (or ``python -m repro.service
 --state-dir``) at a directory and the solved-column corpus, factor
-artifacts and accepted-job journal survive restarts — a warm restart serves
-the previous corpus with zero new solves and zero factor rebuilds.
+artifacts and accepted-job journal (wire request documents, never pickle)
+survive restarts — a warm restart serves the previous corpus with zero new
+solves and zero factor rebuilds.
 
 The service is also fault-tolerant: batches that fail are retried with
 exponential backoff (:class:`~repro.service.scheduler.RetryPolicy`), a
@@ -33,7 +32,7 @@ broken worker pool is torn down and rebuilt mid-block (degrading to inline
 solves when rebuilds keep failing), repeatedly failing substrates trip a
 per-fingerprint :class:`~repro.service.scheduler.CircuitBreaker`, and a
 bounded queue sheds the lowest-priority work under overload
-(:class:`~repro.service.scheduler.QueueSaturatedError` / HTTP 429).  Every
+(:class:`~repro.service.jobs.QueueSaturatedError` / HTTP 429).  Every
 failure mode is reproducible on demand through :mod:`repro.faults`.
 
 Quickstart::
@@ -58,7 +57,12 @@ or in-process, without HTTP::
 
 from .jobs import Job, JobExpiredError, JobRequest, JobState
 from .metrics import ServiceMetrics
-from .persistence import JobJournal, ServicePersistence, SqliteResultBackend
+from .persistence import (
+    JobJournal,
+    JournalFormatError,
+    ServicePersistence,
+    SqliteResultBackend,
+)
 from .result_store import ResultStore
 from .scheduler import (
     CircuitBreaker,
@@ -70,10 +74,8 @@ from .scheduler import (
 from .aserver import AsyncExtractionServer
 from .client import ServiceClient
 from .jobs import SCHEMA_VERSION
-from .server import ExtractionServer
 from .wire import (
     BadRequestError,
-    LegacyPickleDisabledError,
     ServiceError,
     ServiceUnavailableError,
     UnauthorizedError,
@@ -93,6 +95,7 @@ __all__ = [
     "JobState",
     "ServiceMetrics",
     "JobJournal",
+    "JournalFormatError",
     "ServicePersistence",
     "SqliteResultBackend",
     "ResultStore",
@@ -101,7 +104,6 @@ __all__ = [
     "RetryPolicy",
     "CircuitBreaker",
     "QueueSaturatedError",
-    "ExtractionServer",
     "AsyncExtractionServer",
     "ServiceClient",
     "ServiceError",
@@ -109,7 +111,6 @@ __all__ = [
     "UnknownJobError",
     "ServiceUnavailableError",
     "UnauthorizedError",
-    "LegacyPickleDisabledError",
     "WireFormatError",
     "request_to_wire",
     "request_from_wire",

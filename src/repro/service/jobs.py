@@ -24,7 +24,14 @@ import numpy as np
 
 from ..substrate.parallel import SolverSpec
 
-__all__ = ["JobRequest", "JobState", "Job", "JobExpiredError", "SCHEMA_VERSION"]
+__all__ = [
+    "JobRequest",
+    "JobState",
+    "Job",
+    "JobExpiredError",
+    "QueueSaturatedError",
+    "SCHEMA_VERSION",
+]
 
 #: version stamped into every wire document the service emits (job
 #: snapshots, ``/stats``, ``/v1`` bodies).  Bump on any field rename or
@@ -44,6 +51,18 @@ class JobExpiredError(KeyError):
     working, while the HTTP layer can answer 410 (expired) instead of the
     404 it sends for ids that never existed.
     """
+
+
+class QueueSaturatedError(RuntimeError):
+    """Admission control refused a submission (queue full, priority too low).
+
+    Carries ``retry_after_s`` — the server's backoff hint, surfaced over
+    HTTP as a 429 response with a ``Retry-After`` header.
+    """
+
+    def __init__(self, message: str, retry_after_s: float = 1.0) -> None:
+        super().__init__(message)
+        self.retry_after_s = float(retry_after_s)
 
 
 class JobState:
@@ -194,7 +213,9 @@ class Job:
         return self.finished_at - self.submitted_at
 
     def snapshot(self) -> dict:
-        """JSON-compatible view of the job (arrays as nested lists).
+        """Plain-data view of the job; ``result``/``pair_values`` are float64
+        ndarray copies (:func:`~repro.service.wire.snapshot_to_wire` encodes
+        them for the ``/v1`` wire).
 
         Result fields are exposed only in terminal states: a poll racing
         the assembly of a RUNNING job must never observe partially written
@@ -220,11 +241,13 @@ class Job:
                 list(self.result_columns) if terminal and self.result_columns else None
             ),
             "result": (
-                self.result.tolist() if terminal and self.result is not None else None
+                np.array(self.result, dtype=np.float64)
+                if terminal and self.result is not None
+                else None
             ),
             "pairs": [list(p) for p in self.request.pairs] if self.request.pairs else None,
             "pair_values": (
-                self.pair_values.tolist()
+                np.array(self.pair_values, dtype=np.float64)
                 if terminal and self.pair_values is not None
                 else None
             ),

@@ -19,10 +19,10 @@ object rooted at a state directory:
     cache on miss, so a warm start attaches instead of refactoring.
 ``journal.jsonl``
     :class:`JobJournal` — accepted :class:`~repro.service.jobs.JobRequest`
-    payloads appended (fsync'd) *before* the submit call acknowledges,
-    marked terminal on finalize, and replayed on startup, so a crash
-    mid-drain loses no accepted work (the gridworks idiom: persist every
-    event before acting on it).
+    wire documents appended (fsync'd) *before* the submit call
+    acknowledges, marked terminal on finalize, and replayed on startup, so
+    a crash mid-drain loses no accepted work (the gridworks idiom: persist
+    every event before acting on it).
 ``tiled_scratch/``
     default spill directory for out-of-core tiled factors, so their scratch
     shares the state volume (``REPRO_TILED_SCRATCH_DIR`` still overrides).
@@ -37,7 +37,6 @@ from __future__ import annotations
 import base64
 import json
 import os
-import pickle
 import re
 import sqlite3
 import threading
@@ -51,8 +50,14 @@ from ..substrate.factor_cache import FactorArtifactStore
 from ..substrate.tiled import set_default_scratch_dir, tiled_scratch_dir
 from .jobs import JobRequest
 from .result_store import fingerprint_digest as _fingerprint_digest
+from .wire import request_from_wire
 
-__all__ = ["ServicePersistence", "SqliteResultBackend", "JobJournal"]
+__all__ = [
+    "ServicePersistence",
+    "SqliteResultBackend",
+    "JobJournal",
+    "JournalFormatError",
+]
 
 #: scheduler job-id format; the journal recovers the sequence counter from it
 _JOB_ID_RE = re.compile(r"^job-(\d+)$")
@@ -169,26 +174,52 @@ class SqliteResultBackend:
             self._conn.close()
 
 
+class JournalFormatError(RuntimeError):
+    """The journal holds unfinished work this release cannot read.
+
+    Raised by :meth:`JobJournal.recover` for an accept line written by the
+    pickle-era journal (its ``request`` is base64 pickle text, not a wire
+    document) whose job never reached a terminal state.
+    """
+
+
+def _is_pickle_era_request(value) -> bool:
+    """True for base64 text whose bytes open with pickle's PROTO opcode."""
+    if not isinstance(value, str):
+        return False
+    try:
+        head = base64.b64decode(value[:4], validate=True)
+    except ValueError:
+        return False
+    return head[:1] == b"\x80"
+
+
 class JobJournal:
     """Append-only JSONL log of accepted jobs and their terminal outcomes.
 
-    Two event shapes::
+    Two event shapes, one JSON object per line::
 
-        {"event": "accept", "job_id": ..., "priority": ..., "request": <b64 pickle>}
+        {"event": "accept", "job_id": ..., "priority": ..., "request": {...}}
         {"event": "terminal", "job_id": ..., "status": ..., "attempts": ...}
 
-    Accept events are flushed *and* fsync'd before :meth:`record_accept`
-    returns — the scheduler only acknowledges a submit after the request is
-    durable, so a crash at any later point can replay it.  Terminal marks
-    are flush-only (losing one merely re-runs an already-solved job against
-    a warm corpus, which costs zero solves).
+    ``request`` is the :func:`~repro.service.wire.request_to_wire` document
+    (the same schema ``POST /v1/jobs`` takes), decoded on replay by
+    :func:`~repro.service.wire.request_from_wire` — no pickle touches the
+    state directory.  Accept events are flushed *and* fsync'd before
+    :meth:`record_accept` returns — the scheduler only acknowledges a
+    submit after the request is durable, so a crash at any later point can
+    replay it.  Terminal marks are flush-only (losing one merely re-runs an
+    already-solved job against a warm corpus, which costs zero solves).
 
     :meth:`recover` reads the journal back: accepted-but-not-terminal jobs
     in acceptance order (the replay set), every job id ever journaled (so
     the scheduler can distinguish *expired* from *never existed*), and the
     largest job sequence number (so replayed ids are never reissued).
     Corrupted or truncated lines — the tail of a crash mid-write — are
-    skipped with a warning, never fatal.
+    skipped with a warning, never fatal.  An unfinished accept written by
+    the older pickle journal is fatal: :class:`JournalFormatError` names
+    the line, and the operator drains the state dir with the release that
+    wrote it or deletes it.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -201,14 +232,14 @@ class JobJournal:
         self.corrupt_skipped = 0  # reprolint: guarded-by(_lock)
 
     # --------------------------------------------------------------- recording
-    def record_accept(self, job_id: str, request: JobRequest) -> None:
-        """Durably journal one accepted request *before* the submit ack."""
+    def record_accept(self, job_id: str, request_doc: dict) -> None:
+        """Durably journal one accepted request document *before* the ack."""
         line = json.dumps(
             {
                 "event": "accept",
                 "job_id": job_id,
-                "priority": int(request.priority),
-                "request": base64.b64encode(pickle.dumps(request)).decode(),
+                "priority": int(request_doc["priority"]),
+                "request": request_doc,
             }
         )
         with self._lock:
@@ -239,9 +270,12 @@ class JobJournal:
         ``replay`` lists ``(job_id, request)`` for every accepted job with
         no terminal mark, in acceptance order; ``known_ids`` is every job id
         the journal has ever seen; ``max_seq`` is the largest numeric job
-        sequence (0 when none parse).
+        sequence (0 when none parse).  Raises :class:`JournalFormatError`
+        when a pickle-era accept has no terminal mark.
         """
         accepted: "dict[str, JobRequest]" = {}
+        #: job id -> line of a pickle-era accept still awaiting its terminal
+        pickle_era: dict[str, int] = {}
         known_ids: set[str] = set()
         max_seq = 0
         if not self.path.exists():
@@ -256,12 +290,13 @@ class JobJournal:
                     event = doc["event"]
                     job_id = doc["job_id"]
                     if event == "accept":
-                        request = pickle.loads(base64.b64decode(doc["request"]))
-                        if not isinstance(request, JobRequest):
-                            raise TypeError("journal entry is not a JobRequest")
-                        accepted[job_id] = request
+                        if _is_pickle_era_request(doc["request"]):
+                            pickle_era[job_id] = lineno
+                        else:
+                            accepted[job_id] = request_from_wire(doc["request"])
                     elif event == "terminal":
                         accepted.pop(job_id, None)
+                        pickle_era.pop(job_id, None)
                     else:
                         raise ValueError(f"unknown journal event {event!r}")
                 except Exception as exc:  # noqa: BLE001 - crash-torn tail lines
@@ -278,6 +313,14 @@ class JobJournal:
                 match = _JOB_ID_RE.match(job_id)
                 if match:
                     max_seq = max(max_seq, int(match.group(1)))
+        if pickle_era:
+            job_id, lineno = next(iter(pickle_era.items()))
+            raise JournalFormatError(
+                f"{self.path}:{lineno}: job {job_id} was journaled as a pickled "
+                f"request by an older release and never finished; this release "
+                f"reads only wire request documents. Drain the state dir with "
+                f"the release that wrote it, or delete the state dir"
+            )
         return list(accepted.items()), known_ids, max_seq
 
     # --------------------------------------------------------------- lifecycle

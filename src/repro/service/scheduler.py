@@ -47,7 +47,8 @@ With a :class:`~repro.service.persistence.ServicePersistence` attached
 (``persistence=`` object or state-dir path) the scheduler becomes durable:
 the result store writes through to the sqlite corpus, the factor cache
 consults the on-disk artifact store before rebuilding, every accepted
-request is journaled (fsync'd) *before* the submit acknowledges, and
+request is journaled as a wire request document (fsync'd) *before* the
+submit acknowledges, and
 journaled-but-unfinished jobs are replayed at construction — so a crash or
 restart loses no accepted work and re-serves the solved corpus with zero
 new solves.
@@ -72,10 +73,11 @@ from ..substrate.extraction import extract_columns
 from ..substrate.factor_cache import factor_cache
 from ..substrate.parallel import ParallelExtractor, SolverSpec
 from ..substrate.solver_base import CountingSolver, SolveStats
-from .jobs import Job, JobExpiredError, JobRequest, JobState
+from .jobs import Job, JobExpiredError, JobRequest, JobState, QueueSaturatedError
 from .metrics import ServiceMetrics
-from .persistence import ServicePersistence
+from .persistence import JournalFormatError, ServicePersistence
 from .result_store import ResultStore
+from .wire import request_to_wire
 
 __all__ = [
     "Scheduler",
@@ -101,18 +103,6 @@ def _truncated_traceback(limit: int = TRACEBACK_LIMIT) -> str:
     if len(text) > limit:
         text = "... (truncated)\n" + text[-limit:]
     return text
-
-
-class QueueSaturatedError(RuntimeError):
-    """Admission control refused a submission (queue full, priority too low).
-
-    Carries ``retry_after_s`` — the server's backoff hint, surfaced over
-    HTTP as a 429 response with a ``Retry-After`` header.
-    """
-
-    def __init__(self, message: str, retry_after_s: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after_s = float(retry_after_s)
 
 
 @dataclass(frozen=True)
@@ -401,6 +391,16 @@ class Scheduler:
         if persistence is not None and not isinstance(persistence, ServicePersistence):
             persistence = ServicePersistence(persistence)
         self.persistence = persistence
+        # read the journal before anything else touches shared state: an
+        # unreadable journal refuses construction and leaves nothing behind
+        recovered: tuple = ([], set(), 0)
+        if persistence is not None:
+            try:
+                recovered = persistence.journal.recover()
+            except JournalFormatError:
+                if self._owns_persistence:
+                    persistence.close()
+                raise
         self.store = store if store is not None else ResultStore()
         self.metrics = ServiceMetrics()
         self.pool = ExtractorPool(
@@ -463,7 +463,7 @@ class Scheduler:
             if cache.artifact_store is None:
                 cache.set_artifact_store(self.persistence.artifacts)
                 self._attached_artifacts = True
-            self._replay_journal()
+            self._replay_journal(*recovered)
         self._thread: threading.Thread | None = None
         if autostart:
             self._thread = threading.Thread(
@@ -471,9 +471,10 @@ class Scheduler:
             )
             self._thread.start()
 
-    def _replay_journal(self) -> None:
+    def _replay_journal(
+        self, replay: list[tuple[str, JobRequest]], known_ids: set[str], max_seq: int
+    ) -> None:
         """Re-queue journaled jobs that never reached a terminal state."""
-        replay, known_ids, max_seq = self.persistence.journal.recover()
         with self._cv:
             self._known_ids.update(known_ids)
             self._seq = max(self._seq, max_seq)
@@ -510,6 +511,10 @@ class Scheduler:
         """
         if not isinstance(request, JobRequest):
             raise TypeError("submit() takes a JobRequest")
+        journal = self.persistence.journal if self.persistence is not None else None
+        # encoded before any state changes: a request the wire cannot carry
+        # is refused (WireFormatError) without burning an id or shedding
+        request_doc = request_to_wire(request) if journal is not None else None
         rejected = None
         with self._cv:
             if self._closing:
@@ -530,9 +535,8 @@ class Scheduler:
                 f"priority {request.priority} does not outrank any queued job",
                 retry_after_s=retry_after,
             )
-        journal = self.persistence.journal if self.persistence is not None else None
         if journal is not None:
-            journal.record_accept(job_id, request)
+            journal.record_accept(job_id, request_doc)
         with self._cv:
             if self._closing:
                 # closed between the id reservation and the enqueue: void
@@ -638,9 +642,9 @@ class Scheduler:
         return job
 
     def snapshot(self, job_id: str, wait_s: float | None = None) -> dict:
-        """A consistent JSON view of one job, taken under the scheduler lock.
+        """A consistent plain-data view of one job, taken under the lock.
 
-        This is what the ``/result`` endpoint serves: status and result
+        This is what ``GET /v1/jobs/<id>`` serves: status and result
         fields are read atomically, so a poll racing a finishing batch can
         never observe a partially assembled result.
         """

@@ -1,14 +1,12 @@
 """Schema-first JSON wire protocol of the extraction service (``/v1/``).
 
-The original front door shipped :class:`~repro.service.jobs.JobRequest`
-objects as base64 pickle inside JSON — convenient, but unpickling executes
-arbitrary code, so the endpoint could never leave loopback.  This module
-replaces it with a **declarative schema**: layout, profile, options and the
-columns/pairs query travel as plain JSON data, numeric arrays as
-base64-encoded float64 buffers with explicit dtype/shape, and the decoder
-*constructs* the domain objects instead of trusting serialized code.  The
-round trip is exact — a decoded spec has the **same
-:attr:`~repro.substrate.parallel.SolverSpec.fingerprint`** as the original,
+Every process and disk boundary of the service speaks this **declarative
+schema**: layout, profile, options and the columns/pairs query travel as
+plain JSON data, numeric arrays as base64-encoded buffers with explicit
+dtype/shape, and the decoder *constructs* the domain objects instead of
+trusting serialized code — no pickle anywhere.  The round trip is exact —
+a decoded spec has the **same**
+:attr:`~repro.substrate.parallel.SolverSpec.fingerprint` as the original,
 so coalescing, the result corpus and the factor artifact store all keep
 working unchanged across the wire boundary.
 
@@ -39,25 +37,32 @@ based), tuples are tagged so ``repr``-keyed fingerprint items cannot decay
 into lists, and arrays travel as raw little-endian float64 bytes — no
 formatting, no precision loss anywhere on the wire.
 
-The module also owns the protocol-level pieces both front ends share: the
+The decoders are the trust boundary for HTTP bodies, cluster RPCs and the
+job journal alike: anything malformed raises :class:`WireFormatError`, and
+no decode allocates more than its actual payload (a declared ndarray shape
+must match the bytes that came with it).
+
+The module also owns the protocol-level pieces around the documents: the
 single error envelope (every 4xx/5xx body conforms), the typed exceptions
-the client maps envelopes back into, and the ``/v1`` submit/snapshot route
-logic (transport-agnostic: the threaded legacy server and the asyncio front
-door call the same functions).
+the client maps envelopes back into, and the transport-agnostic ``/v1``
+submit/snapshot/cancel route logic.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Any
+import math
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..geometry.contact import Contact, ContactLayout
 from ..substrate.parallel import SPEC_KINDS, SolverSpec
 from ..substrate.profile import Layer, SubstrateProfile
-from .jobs import SCHEMA_VERSION, JobExpiredError, JobRequest, JobState
-from .scheduler import QueueSaturatedError, Scheduler
+from .jobs import SCHEMA_VERSION, JobExpiredError, JobRequest, JobState, QueueSaturatedError
+
+if TYPE_CHECKING:
+    from .scheduler import Scheduler
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -67,7 +72,6 @@ __all__ = [
     "UnknownJobError",
     "ServiceUnavailableError",
     "UnauthorizedError",
-    "LegacyPickleDisabledError",
     "encode_value",
     "decode_value",
     "encode_array",
@@ -83,7 +87,6 @@ __all__ = [
     "snapshot_to_wire",
     "error_envelope",
     "raise_for_envelope",
-    "submit_route",
     "v1_submit",
     "v1_snapshot",
     "v1_cancel",
@@ -141,17 +144,12 @@ class UnauthorizedError(ServiceError):
     """The bearer token was missing or wrong (envelope code ``unauthorized``)."""
 
 
-class LegacyPickleDisabledError(ServiceError):
-    """The deprecated pickle endpoint is off (envelope code ``legacy_pickle_disabled``)."""
-
-
 #: envelope code -> exception factory used by :func:`raise_for_envelope`
 _CODE_EXCEPTIONS: dict[str, type[ServiceError]] = {
     "bad_request": BadRequestError,
     "unknown_job": UnknownJobError,
     "unavailable": ServiceUnavailableError,
     "unauthorized": UnauthorizedError,
-    "legacy_pickle_disabled": LegacyPickleDisabledError,
 }
 
 
@@ -173,7 +171,7 @@ def raise_for_envelope(status: int, doc: Any) -> None:
 
     ``job_expired`` raises the in-process
     :class:`~repro.service.jobs.JobExpiredError`, ``queue_saturated`` the
-    in-process :class:`~repro.service.scheduler.QueueSaturatedError`
+    in-process :class:`~repro.service.jobs.QueueSaturatedError`
     (carrying the retry hint) — callers handle local and remote failures
     with one ``except`` clause.  Anything else raises a
     :class:`ServiceError` subclass keyed on the envelope code.
@@ -211,19 +209,35 @@ def encode_array(array: np.ndarray) -> dict:
     }
 
 
-def decode_array(doc: dict) -> np.ndarray:
-    """Rebuild the ndarray an :func:`encode_array` document describes."""
+#: dtype kinds an ndarray document may carry: bool, int, uint, float, complex
+_ARRAY_KINDS = "biufc"
+
+
+def decode_array(doc: Any) -> np.ndarray:
+    """Rebuild the ndarray an :func:`encode_array` document describes.
+
+    The declared shape must be a list of non-negative integers whose product
+    matches the payload exactly (checked in Python integers, so no declared
+    size can overflow), so nothing is allocated beyond the bytes sent.
+    """
     try:
         dtype = np.dtype(str(doc["dtype"]))
-        shape = tuple(int(s) for s in doc["shape"])
+        shape = doc["shape"]
         data = base64.b64decode(doc["data"])
     except (KeyError, TypeError, ValueError) as exc:
         raise WireFormatError(f"malformed ndarray document: {exc}") from exc
     if dtype.hasobject:
         raise WireFormatError("object dtypes are not wire-encodable")
-    if len(data) != dtype.itemsize * int(np.prod(shape, dtype=np.int64)):
+    if dtype.kind not in _ARRAY_KINDS:
+        raise WireFormatError(f"unsupported ndarray dtype {dtype.str!r}")
+    if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+        raise WireFormatError("ndarray shape must be a list of non-negative integers")
+    if len(data) != dtype.itemsize * math.prod(shape):
         raise WireFormatError("ndarray payload size does not match dtype * shape")
-    array = np.frombuffer(data, dtype=dtype).reshape(shape)
+    try:
+        array = np.frombuffer(data, dtype=dtype).reshape(shape)
+    except ValueError as exc:  # e.g. more dimensions than numpy supports
+        raise WireFormatError(f"malformed ndarray document: {exc}") from exc
     return np.ascontiguousarray(array.astype(dtype.newbyteorder("="), copy=True))
 
 
@@ -300,7 +314,7 @@ def layout_from_wire(doc: Any) -> ContactLayout:
         return ContactLayout(contacts, float(doc["size_x"]), float(doc["size_y"]))
     except WireFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise WireFormatError(f"malformed layout document: {exc}") from exc
 
 
@@ -336,7 +350,7 @@ def profile_from_wire(doc: Any) -> SubstrateProfile | None:
         )
     except WireFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise WireFormatError(f"malformed profile document: {exc}") from exc
 
 
@@ -367,7 +381,7 @@ def spec_from_wire(doc: Any) -> SolverSpec:
         )
     except WireFormatError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise WireFormatError(f"malformed spec document: {exc}") from exc
 
 
@@ -416,25 +430,17 @@ def request_from_wire(doc: Any) -> JobRequest:
         )
     except WireFormatError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise WireFormatError(f"malformed request document: {exc}") from exc
 
 
 def snapshot_to_wire(snapshot: dict) -> dict:
-    """A job snapshot with its array fields re-encoded as wire ndarrays.
-
-    :meth:`~repro.service.jobs.Job.snapshot` serializes arrays as nested
-    lists (the legacy ``/result`` body, kept for old clients); the ``/v1``
-    job view carries the same fields but ships ``result`` and
-    ``pair_values`` as base64 float64 documents — smaller and bit-exact.
-    """
+    """A job snapshot with its float64 ``result`` and ``pair_values``
+    ndarrays encoded as wire ndarray documents (bit-exact)."""
     doc = dict(snapshot)
-    if doc.get("result") is not None:
-        doc["result"] = encode_array(np.asarray(doc["result"], dtype=np.float64))
-    if doc.get("pair_values") is not None:
-        doc["pair_values"] = encode_array(
-            np.asarray(doc["pair_values"], dtype=np.float64)
-        )
+    for key in ("result", "pair_values"):
+        if doc.get(key) is not None:
+            doc[key] = encode_array(doc[key])
     return doc
 
 
@@ -444,19 +450,12 @@ RouteResult = tuple[int, dict, dict]
 
 
 def v1_submit(scheduler: Scheduler, doc: Any, watcher=None) -> RouteResult:
-    """``POST /v1/jobs``: decode, submit, answer — shared by both servers."""
+    """``POST /v1/jobs``: decode, submit, answer (400/429/503 enveloped)."""
     try:
         request = request_from_wire(doc)
+        job_id = scheduler.submit(request, watcher=watcher)
     except WireFormatError as exc:
         return 400, error_envelope("bad_request", f"bad request document: {exc}"), {}
-    return submit_route(scheduler, request, watcher=watcher)
-
-
-def submit_route(scheduler: Scheduler, request: JobRequest, watcher=None) -> RouteResult:
-    """Submit an already-decoded request; shared by ``/v1/jobs`` and the
-    deprecated pickle endpoint (which decodes its own payload)."""
-    try:
-        job_id = scheduler.submit(request, watcher=watcher)
     except QueueSaturatedError as exc:
         retry_after = max(1, round(exc.retry_after_s))
         return (

@@ -4,9 +4,8 @@ The load-bearing assertions here are the PR's acceptance criteria: streamed
 columns reach the client *before their job completes* (all ``columns``
 events of a coalesced group precede every ``done`` event of that group),
 concurrent streaming clients are served from one event loop, micro-batched
-pair queries collapse into fewer scheduler submits (counter-pinned), no
-pickle crosses the wire unless explicitly revived, and every error body is
-the one envelope.
+pair queries collapse into fewer scheduler submits (counter-pinned), the
+pickle-era paths are gone, and every error body is the one envelope.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.service import (
     AsyncExtractionServer,
     JobRequest,
     JobState,
-    LegacyPickleDisabledError,
     QueueSaturatedError,
     Scheduler,
     ServiceClient,
@@ -97,8 +95,6 @@ def test_async_end_to_end_matches_reference(bem_spec, small_g_module):
             assert np.abs(block - small_g_module[:, [0, 2, 5]]).max() / scale < 1e-8
             stats = client.stats()
             assert stats["schema_version"] == 1
-            # the schema wire carried everything: no pickle was served
-            assert stats["frontdoor"]["legacy_pickle_submits"] == 0
 
 
 def test_snapshot_schema_version_and_wire_arrays(dense_spec):
@@ -287,16 +283,21 @@ def test_pairs_endpoint_validates_documents(dense_spec):
     with AsyncExtractionServer(n_workers=1) as server:
         from repro.service.wire import spec_to_wire
 
-        body = json.dumps({"spec": spec_to_wire(dense_spec), "pairs": []}).encode()
-        req = urllib.request.Request(
-            server.url + "/v1/pairs",
-            data=body,
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(req, timeout=10.0)
-        assert err.value.code == 400
-        assert json.loads(err.value.read())["error"]["code"] == "bad_request"
+        spec = json.dumps(spec_to_wire(dense_spec))
+        # an empty pair list, and a priority of 1e400 (parses to inf)
+        for body in (
+            f'{{"spec": {spec}, "pairs": []}}',
+            f'{{"spec": {spec}, "pairs": [[0, 1]], "priority": 1e400}}',
+        ):
+            req = urllib.request.Request(
+                server.url + "/v1/pairs",
+                data=body.encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req, timeout=10.0)
+            assert err.value.code == 400
+            assert json.loads(err.value.read())["error"]["code"] == "bad_request"
 
 
 # ------------------------------------------------------------ error envelope
@@ -340,62 +341,60 @@ def test_error_envelope_conformance(dense_spec):
 
 
 def test_bad_json_body_is_a_bad_request_envelope(dense_spec):
+    # the second body nests deeper than json.loads can recurse
+    with AsyncExtractionServer(n_workers=1) as server:
+        for body in (b"{not json", b"[" * 5000 + b"]" * 5000):
+            req = urllib.request.Request(
+                server.url + "/v1/jobs",
+                data=body,
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req, timeout=10.0)
+            assert err.value.code == 400
+            assert json.loads(err.value.read())["error"]["code"] == "bad_request"
+
+
+def test_impossible_array_shape_is_a_bad_request_envelope(dense_spec):
+    """An ndarray doc declaring a non-finite or overflowing shape is a 400
+    envelope, not a dropped connection."""
+    doc = request_to_wire(JobRequest(dense_spec, columns=(0,)))
+    doc["spec"]["options"]["matrix"]["shape"] = "SHAPE"
+    template = json.dumps(doc)
+    overflow = dict(doc["spec"]["options"]["matrix"], shape=[2**32, 2**32], data="")
+    doc["spec"]["options"]["matrix"] = overflow
+    bodies = [template.replace('"SHAPE"', "[1e400, 16]").encode(), json.dumps(doc).encode()]
+    with AsyncExtractionServer(n_workers=1) as server:
+        for body in bodies:
+            req = urllib.request.Request(
+                server.url + "/v1/jobs",
+                data=body,
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(req, timeout=10.0)
+            assert err.value.code == 400
+            assert json.loads(err.value.read())["error"]["code"] == "bad_request"
+        with ServiceClient(server.url, timeout_s=10.0) as client:
+            assert client.healthz()["ok"] is True
+
+
+def test_legacy_pickle_endpoint_is_gone_by_default():
+    """The pickle-era ``/submit`` no longer exists (there is no opt-in to
+    revive it), and neither do ``/result`` or the unversioned aliases."""
     with AsyncExtractionServer(n_workers=1) as server:
         req = urllib.request.Request(
-            server.url + "/v1/jobs",
-            data=b"{not json",
+            server.url + "/submit",
+            data=json.dumps({"request_pickle": "gAR9lC4="}).encode(),
             headers={"Content-Type": "application/json"},
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=10.0)
-        assert err.value.code == 400
-        assert json.loads(err.value.read())["error"]["code"] == "bad_request"
-
-
-# ------------------------------------------------- legacy aliases and pickle
-def test_legacy_aliases_carry_deprecation_header():
-    with AsyncExtractionServer(n_workers=1) as server:
-        for path, v1_path in (("/healthz", "/v1/healthz"), ("/stats", "/v1/stats")):
-            _, _, headers = get_json(server.url + path)
-            assert headers.get("Deprecation") == "true"
-            assert "successor-version" in headers.get("Link", "")
-            _, _, v1_headers = get_json(server.url + v1_path)
-            assert v1_headers.get("Deprecation") is None
-
-
-def test_legacy_pickle_endpoint_is_gone_by_default(dense_spec):
-    """The async front door answers 410 to /submit unless the operator
-    explicitly revived the pickle wire."""
-    with AsyncExtractionServer(n_workers=1) as server:
-        with ServiceClient(server.url, timeout_s=10.0) as client:
-            with pytest.raises(LegacyPickleDisabledError):
-                with pytest.warns(DeprecationWarning):
-                    client.submit_pickle(JobRequest(dense_spec, columns=(0,)))
-            stats = client.stats()
-            assert stats["frontdoor"]["legacy_pickle_submits"] == 0
-
-
-def test_legacy_pickle_endpoint_behind_explicit_optin(dense_spec):
-    with AsyncExtractionServer(n_workers=1, allow_legacy_pickle=True) as server:
-        with ServiceClient(server.url, timeout_s=30.0) as client:
-            with pytest.warns(DeprecationWarning):
-                job_id = client.submit_pickle(JobRequest(dense_spec, columns=(0,)))
-            snapshot = client.wait(job_id, timeout_s=30.0)
-            assert snapshot["status"] == JobState.DONE
-            assert client.stats()["frontdoor"]["legacy_pickle_submits"] == 1
-
-
-def test_legacy_result_alias_serves_nested_lists(dense_spec):
-    with AsyncExtractionServer(n_workers=1) as server:
-        with ServiceClient(server.url, timeout_s=30.0) as client:
-            job_id = client.submit(JobRequest(dense_spec, columns=(0,)))
-            client.wait(job_id, timeout_s=30.0)
-        status, body, headers = get_json(
-            server.url + f"/result?job_id={job_id}&wait_s=5"
-        )
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert isinstance(body["result"], list)  # the old nested-list shape
+        assert err.value.code == 404
+        assert json.loads(err.value.read())["error"]["code"] == "not_found"
+        for path in ("/result?job_id=job-000001", "/stats", "/healthz"):
+            status, body, _ = get_json(server.url + path)
+            assert status == 404 and body["error"]["code"] == "not_found"
 
 
 # ------------------------------------------------------------------- client

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.service import (
-    ExtractionServer,
+    AsyncExtractionServer,
     ServiceError,
     UnknownJobError,
     Job,
@@ -27,6 +27,10 @@ from repro.service import (
     Scheduler,
     ServiceClient,
     ServicePersistence,
+    WireFormatError,
+    JournalFormatError,
+    request_from_wire,
+    request_to_wire,
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.result_store import DEFAULT_STORE_BYTES, default_store_bytes
@@ -225,6 +229,75 @@ def test_corrupt_journal_entry_skipped_with_warning(tmp_path, bem_spec):
         crashed.close()
 
 
+def accept_lines(state) -> list[dict]:
+    lines = (state / "journal.jsonl").read_text(encoding="utf-8").splitlines()
+    return [doc for doc in map(json.loads, lines) if doc["event"] == "accept"]
+
+
+def test_journal_accepts_are_wire_documents(tmp_path, bem_spec):
+    state = tmp_path / "state"
+    request = JobRequest(bem_spec, columns=(0, 2), priority=3)
+    with make_scheduler(state) as sched:
+        job_id = sched.submit(request)
+    with make_scheduler(state) as sched:  # restart replays the wire document
+        assert sched.metrics.jobs_replayed == 1
+        assert sched.snapshot(job_id)["priority"] == 3
+    (accept,) = accept_lines(state)
+    assert accept["job_id"] == job_id and accept["priority"] == 3
+    assert accept["request"] == json.loads(json.dumps(request_to_wire(request)))
+    assert request_from_wire(accept["request"]).fingerprint == request.fingerprint
+
+
+def test_unencodable_request_is_refused_before_the_ack(tmp_path, bem_spec):
+    state = tmp_path / "state"
+    spec = SolverSpec("bem", bem_spec.layout, bem_spec.profile, {"hook": object()})
+    with make_scheduler(state) as sched:
+        with pytest.raises(WireFormatError, match="not wire-encodable"):
+            sched.submit(JobRequest(spec, columns=(0,)))
+        assert sched.queue_depth == 0
+        # no journal line and no burned id
+        assert accept_lines(state) == []
+        assert sched.submit(JobRequest(bem_spec, columns=(0,))) == "job-000001"
+
+
+def write_pickle_era_accept(state, job_id: str, request: JobRequest) -> None:
+    """Append one accept line as the pickle-era journal wrote it."""
+    import base64
+    import pickle
+
+    state.mkdir(parents=True, exist_ok=True)
+    blob = base64.b64encode(pickle.dumps(request)).decode()
+    line = {"event": "accept", "job_id": job_id, "priority": 0, "request": blob}
+    with open(state / "journal.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(line) + "\n")
+
+
+def test_pickle_era_journal_with_unfinished_work_is_refused(tmp_path, bem_spec):
+    state = tmp_path / "state"
+    with make_scheduler(state) as sched:
+        sched.submit(JobRequest(bem_spec, columns=(0,)))
+    write_pickle_era_accept(state, "job-000007", JobRequest(bem_spec, columns=(1,)))
+    with pytest.raises(JournalFormatError) as info:
+        make_scheduler(state)
+    message = str(info.value)
+    assert f"{state / 'journal.jsonl'}:2" in message
+    assert "job-000007" in message and "drain" in message.lower()
+    assert "delete the state dir" in message
+
+
+def test_drained_pickle_era_journal_loads(tmp_path, bem_spec):
+    """Pickle-era accepts that reached a terminal mark are history only."""
+    state = tmp_path / "state"
+    write_pickle_era_accept(state, "job-000004", JobRequest(bem_spec, columns=(0,)))
+    with open(state / "journal.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"event": "terminal", "job_id": "job-000004"}) + "\n")
+    with make_scheduler(state) as sched:
+        assert sched.metrics.jobs_replayed == 0
+        with pytest.raises(JobExpiredError):
+            sched.result("job-000004")
+        assert sched.submit(JobRequest(bem_spec, columns=(0,))) == "job-000005"
+
+
 def test_sqlite_backend_roundtrip(tmp_path):
     from repro.service import SqliteResultBackend
 
@@ -291,7 +364,7 @@ def test_health_reports_dead_dispatcher_and_closed_scheduler(bem_spec):
 
 def test_healthz_returns_503_when_unhealthy(bem_spec):
     sched = Scheduler(n_workers=1, autostart=False)
-    server = ExtractionServer(scheduler=sched).start()
+    server = AsyncExtractionServer(scheduler=sched).start()
     try:
         client = ServiceClient(server.url)
         assert client.healthz()["ok"]
@@ -330,7 +403,7 @@ def test_snapshot_hides_result_fields_outside_terminal_states():
     job.status = JobState.DONE
     snap = job.snapshot()
     assert snap["columns"] == [0, 1]
-    assert snap["result"] == [[1.0, 0.0], [0.0, 1.0]]
+    np.testing.assert_array_equal(snap["result"], [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_scheduler_snapshot_is_taken_under_lock(bem_spec):
@@ -362,7 +435,7 @@ def test_expired_job_id_distinguished_from_unknown(bem_spec):
 
 def test_http_410_for_expired_job(bem_spec):
     sched = Scheduler(n_workers=1, autostart=False, max_jobs_retained=1)
-    server = ExtractionServer(scheduler=sched).start()
+    server = AsyncExtractionServer(scheduler=sched).start()
     try:
         client = ServiceClient(server.url)
         first = client.submit(JobRequest(bem_spec, columns=(0,)))

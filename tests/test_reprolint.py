@@ -217,7 +217,7 @@ HANDLER_UNGUARDED = """
             self.respond(payload)
 """
 
-HANDLER_GUARDED = """
+HANDLER_OPTIN_GATE = """
     import pickle
 
     class Handler:
@@ -246,26 +246,29 @@ def test_pickle_rule_fires_outside_allowlist():
 
 
 def test_pickle_rule_quiet_in_allowlisted_and_dev_paths():
-    assert lint(PICKLE_SNIPPET, path="src/repro/service/persistence.py") == []
     assert lint(PICKLE_SNIPPET, path="src/repro/substrate/parallel.py") == []
     assert lint(PICKLE_SNIPPET, path="tests/test_roundtrip.py") == []
     assert lint(PICKLE_SNIPPET, path="benchmarks/bench_pickle.py") == []
 
 
-def test_pickle_rule_requires_guard_in_server_handlers():
-    for server in (
-        "src/repro/service/server.py",
+def test_pickle_rule_fires_in_service_and_cluster_modules():
+    """The journal and every front end speak the wire schema: no service or
+    cluster module may unpickle, the journal's replay path included."""
+    for path in (
         "src/repro/service/aserver.py",
+        "src/repro/service/persistence.py",
+        "src/repro/cluster/protocol.py",
     ):
-        assert rules_of(lint(HANDLER_UNGUARDED, path=server)) == ["RP301"]
-        assert lint(HANDLER_GUARDED, path=server) == []
+        assert rules_of(lint(PICKLE_SNIPPET, path=path)) == ["RP300"]
+        assert rules_of(lint(HANDLER_UNGUARDED, path=path)) == ["RP300"]
 
 
 def test_pickle_rule_rejects_the_retired_loopback_guard():
-    """The pre-/v1 guard name no longer counts: unpickling must sit behind
-    the explicit legacy opt-in gate, not just the loopback check."""
-    server = "src/repro/service/server.py"
-    assert rules_of(lint(HANDLER_OLD_GUARD, path=server)) == ["RP301"]
+    """No gate makes unpickling acceptable in a request handler: neither the
+    pre-/v1 loopback check nor the retired legacy opt-in gate."""
+    server = "src/repro/service/aserver.py"
+    assert rules_of(lint(HANDLER_OLD_GUARD, path=server)) == ["RP300"]
+    assert rules_of(lint(HANDLER_OPTIN_GATE, path=server)) == ["RP300"]
 
 
 def test_pickle_rule_sees_through_import_aliases():
@@ -329,9 +332,7 @@ def test_unconsumed_annotation_is_flagged():
 
 
 def test_rule_catalogue_and_explain_cover_every_rule():
-    assert {"RL100", "RL101", "RR200", "RR201", "RP300", "RP301", "RS400", "RX000"} <= set(
-        RULES
-    )
+    assert {"RL100", "RL101", "RR200", "RR201", "RP300", "RS400", "RX000"} <= set(RULES)
     for rule_id in RULES:
         text = explain(rule_id)
         assert rule_id in text and RULES[rule_id]["title"] in text

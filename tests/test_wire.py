@@ -9,10 +9,13 @@ matching across the wire boundary.
 
 from __future__ import annotations
 
+import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import regular_grid
 from repro.experiments.examples import paper_examples
@@ -30,7 +33,6 @@ from repro.service import (
 from repro.service.jobs import SCHEMA_VERSION
 from repro.service.wire import (
     BadRequestError,
-    LegacyPickleDisabledError,
     ServiceError,
     decode_array,
     decode_value,
@@ -176,6 +178,19 @@ def test_malformed_array_documents_are_rejected():
         decode_array({**good, "dtype": "O"})
     with pytest.raises(WireFormatError, match="malformed ndarray"):
         decode_array({"__wire__": "ndarray"})
+    with pytest.raises(WireFormatError, match="unsupported ndarray dtype"):
+        decode_array({**good, "dtype": "V8"})
+    with pytest.raises(WireFormatError, match="unsupported ndarray dtype"):
+        decode_array({**good, "dtype": "(2,)<f8"})
+    # non-finite, negative, non-integer and non-list dims (1e400 parses to
+    # inf, which used to escape as OverflowError)
+    for shape in ["[1e400]", "[-1e400, 4]", "[NaN]", "[-4]", "[4.0]", "[true, 4]", '"4"']:
+        with pytest.raises(WireFormatError, match="non-negative integers"):
+            decode_array({**good, "shape": json.loads(shape)})
+    # 2**32 * 2**32 wraps to 0 in int64, which used to match the empty
+    # payload and then escape reshape as a bare ValueError
+    with pytest.raises(WireFormatError, match="size does not match"):
+        decode_array({**good, "shape": [2**32, 2**32], "data": ""})
 
 
 # ------------------------------------------------------------------- requests
@@ -210,7 +225,6 @@ def test_error_envelope_shape():
         ("job_expired", 410, JobExpiredError),
         ("queue_saturated", 429, QueueSaturatedError),
         ("unavailable", 503, ServiceError),
-        ("legacy_pickle_disabled", 410, LegacyPickleDisabledError),
         ("something_else", 500, ServiceError),
     ],
 )
@@ -252,3 +266,125 @@ def test_snapshot_to_wire_encodes_arrays():
         decode_array(doc["result"]), [[1.0, 2.0], [3.0, 4.0]]
     )
     np.testing.assert_array_equal(decode_array(doc["pair_values"]), [5.0])
+
+
+# --------------------------------------------------------- trust-boundary fuzz
+#: arbitrary JSON-shaped values, including the non-finite floats and
+#: unbounded integers Python's json module accepts from a client
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=16,
+)
+#: ndarray documents with hostile dtypes, shapes and payloads
+HUGE_DIMS = st.integers(min_value=-3, max_value=2**70) | st.floats()
+ARRAY_DOCS = st.fixed_dictionaries(
+    {
+        "__wire__": st.just("ndarray"),
+        "dtype": st.sampled_from(
+            ["<f8", "<i4", "|b1", "<c16", "O", "V8", "S3", "(2,)<f8", "<M8[s]", "nope"]
+        )
+        | JSON_VALUES,
+        "shape": st.lists(HUGE_DIMS, max_size=6) | JSON_VALUES,
+        "data": st.text(
+            alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=!",
+            max_size=24,
+        )
+        | JSON_VALUES,
+    }
+)
+TAGGED = st.fixed_dictionaries(
+    {"__wire__": st.sampled_from(["ndarray", "tuple", "mystery"])},
+    optional={"items": JSON_VALUES, "dtype": JSON_VALUES, "shape": JSON_VALUES},
+)
+HOSTILE = JSON_VALUES | ARRAY_DOCS | TAGGED
+
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _valid_request_docs() -> list[dict]:
+    layout = regular_grid(n_side=2, size=128.0, fill=0.5)
+    matrix = 4.0 * np.eye(4) - 0.5
+    dense = JobRequest(SolverSpec.dense(matrix, layout), columns=(0, 2), priority=1)
+    example = paper_examples(n_side=2)["1a"].build_spec()
+    bem = JobRequest(example, pairs=((0, 1),), tolerance=1e-9, timeout_s=5.0)
+    return [roundtrip(request_to_wire(dense)), roundtrip(request_to_wire(bem))]
+
+
+VALID_REQUEST_DOCS = _valid_request_docs()
+
+
+def _paths(node, prefix=()):
+    """Every key/index path into a JSON document (the root included)."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _paths(child, prefix + (index,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    mutated = copy.deepcopy(doc)
+    parent = mutated
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return mutated
+
+
+def _decode_within_payload(decode, doc) -> None:
+    """Decode ``doc``; only WireFormatError may escape, and the decode may
+    not allocate far beyond the document's own serialised size."""
+    payload = len(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        decode(doc)
+    except WireFormatError:
+        pass
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert peak <= 64 * payload + 2**20, f"{peak} bytes for a {payload}-byte document"
+
+
+@FUZZ
+@given(doc=HOSTILE)
+def test_fuzz_decoders_on_arbitrary_json(doc):
+    for decode in (decode_array, spec_from_wire, request_from_wire):
+        _decode_within_payload(decode, doc)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_decoders_on_mutated_request_documents(data):
+    base = data.draw(st.sampled_from(VALID_REQUEST_DOCS))
+    path = data.draw(st.sampled_from(list(_paths(base))))
+    doc = _replace(base, path, data.draw(HOSTILE))
+    _decode_within_payload(request_from_wire, doc)
+    _decode_within_payload(spec_from_wire, doc.get("spec") if isinstance(doc, dict) else doc)
+
+
+def test_deeply_nested_options_are_a_format_error():
+    """Nesting that json.loads accepts but decode_value cannot recurse
+    through used to escape as RecursionError."""
+    doc = copy.deepcopy(VALID_REQUEST_DOCS[0])
+    doc["spec"]["options"]["deep"] = json.loads("[" * 800 + "]" * 800)
+    with pytest.raises(WireFormatError):
+        request_from_wire(doc)
