@@ -16,9 +16,8 @@ factors), each asking for the same column count:
   engine builds sum to exactly the fingerprint count — one factor build
   per substrate across the whole cluster), and on multi-CPU runners a
   **>= 1.5x** speedup over cluster-1.  On a single-CPU runner the
-  speedup gate self-exempts (the two worker processes share one core, so
-  the ratio measures contention, not scaling) and the committed reference
-  artifact records the exemption — the PR-3/PR-5 pattern.
+  speedup gate is disarmed (the two worker processes share one core, so
+  the ratio measures contention, not scaling).
 * **failover** — a worker is SIGKILLed while its pinned fingerprint still
   has unserved columns; the re-submitted group must re-route to the
   survivor and complete.  Gates: zero lost jobs, ``reroutes >= 1``, the
@@ -26,10 +25,12 @@ factors), each asking for the same column count:
   still-missing columns (columns the victim solved before dying are
   served from the leader's store, never re-solved).
 
-Emits a machine-readable ``BENCH_cluster.json`` under
-``benchmarks/results/``.  Run directly (``REPRO_BENCH_NSIDE=8`` for the CI smoke gate)::
+Emits ``BENCH_cluster.json`` under ``benchmarks/results/``.  Run directly
+(``REPRO_BENCH_NSIDE=8`` for the CI smoke gate)::
 
     PYTHONPATH=src python benchmarks/bench_cluster.py
+
+or through pytest like the other benchmarks.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import socket
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -50,19 +50,18 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from common import (
     REPO_ROOT,
+    Gates,
     default_sizes,
-    emit_benchmark,
-    ensure_repro_importable,
-    gate_main,
+    emit,
+    fan_out,
+    rel_diff,
+    run_clients,
+    solver_spec,
+    timed,
 )
 
-ensure_repro_importable()
-
 from repro.cluster import ClusterLeader
-from repro.geometry.layouts import regular_grid
 from repro.service import JobRequest, Scheduler, ServiceClient
-from repro.substrate.parallel import SolverSpec
-from repro.substrate.profile import SubstrateProfile
 
 AGREEMENT_RTOL = 1e-10
 #: fill factors — four distinct substrates over one grid size
@@ -115,9 +114,7 @@ def _await_live(leader: ClusterLeader, count: int) -> None:
         if len(leader.registry.live()) >= count:
             return
         time.sleep(0.05)
-    raise RuntimeError(
-        f"{count} workers did not register within {WORKER_BOOT_TIMEOUT_S:g}s"
-    )
+    raise RuntimeError(f"{count} workers did not register within {WORKER_BOOT_TIMEOUT_S:g}s")
 
 
 def _kill(procs: list[subprocess.Popen]) -> None:
@@ -128,62 +125,15 @@ def _kill(procs: list[subprocess.Popen]) -> None:
         proc.wait(timeout=30)
 
 
-def _rel_diff(got: np.ndarray, reference: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(reference))), 1e-300)
-    return float(np.max(np.abs(got - reference))) / scale
-
-
-# ------------------------------------------------------------------ workload
-def _specs(n_side: int) -> list[SolverSpec]:
-    profile = SubstrateProfile.two_layer_example(size=128.0, resistive_bottom=True)
-    return [
-        SolverSpec.bem(
-            regular_grid(n_side=n_side, size=128.0, fill=fill),
-            profile,
-            max_panels=256,
-            rtol=1e-8,
-        )
-        for fill in FILLS
-    ]
-
-
-def _columns(spec: SolverSpec) -> tuple[int, ...]:
+# ---------------------------------------------------------------------- arms
+def _request(spec) -> JobRequest:
     n = spec.layout.n_contacts
-    return tuple(range(0, n, max(1, n // COLUMNS_PER_GROUP)))[:COLUMNS_PER_GROUP]
-
-
-def _run_single_host(specs: list[SolverSpec]) -> tuple[float, list[np.ndarray]]:
-    with Scheduler(n_workers=1) as scheduler:
-        start = time.perf_counter()
-
-        def one(spec: SolverSpec) -> np.ndarray:
-            job_id = scheduler.submit(JobRequest(spec, columns=_columns(spec)))
-            return scheduler.result(job_id, wait_s=JOB_TIMEOUT_S).result
-
-        with ThreadPoolExecutor(max_workers=len(specs)) as pool:
-            blocks = list(pool.map(one, specs))
-        wall = time.perf_counter() - start
-    return wall, blocks
-
-
-def _run_through_leader(
-    leader: ClusterLeader, specs: list[SolverSpec]
-) -> tuple[float, list[np.ndarray]]:
-    start = time.perf_counter()
-
-    def one(spec: SolverSpec) -> np.ndarray:
-        with ServiceClient(leader.url, timeout_s=JOB_TIMEOUT_S) as client:
-            return client.extract(
-                JobRequest(spec, columns=_columns(spec)), timeout_s=JOB_TIMEOUT_S
-            )
-
-    with ThreadPoolExecutor(max_workers=len(specs)) as pool:
-        blocks = list(pool.map(one, specs))
-    return time.perf_counter() - start, blocks
+    columns = tuple(range(0, n, max(1, n // COLUMNS_PER_GROUP)))[:COLUMNS_PER_GROUP]
+    return JobRequest(spec, columns=columns)
 
 
 def _run_cluster_arm(
-    specs: list[SolverSpec], n_workers: int
+    requests: list[JobRequest], n_workers: int
 ) -> tuple[float, list[np.ndarray], list[dict]]:
     """One fresh leader + ``n_workers`` worker processes over the workload."""
     procs: list[subprocess.Popen] = []
@@ -195,7 +145,12 @@ def _run_cluster_arm(
                 procs.append(proc)
                 urls.append(url)
             _await_live(leader, n_workers)
-            wall, blocks = _run_through_leader(leader, specs)
+
+            def one(request: JobRequest) -> np.ndarray:
+                with ServiceClient(leader.url, timeout_s=JOB_TIMEOUT_S) as client:
+                    return client.extract(request, timeout_s=JOB_TIMEOUT_S)
+
+            wall, blocks = timed(fan_out, one, requests)
             worker_stats = []
             for url in urls:
                 with ServiceClient(url, timeout_s=30.0) as client:
@@ -205,12 +160,9 @@ def _run_cluster_arm(
     return wall, blocks, worker_stats
 
 
-def _run_failover_arm(
-    specs: list[SolverSpec], references: list[np.ndarray]
-) -> dict:
+def _run_failover_arm(request: JobRequest, reference: np.ndarray) -> dict:
     """Kill the owner of a pinned fingerprint with columns still unserved."""
-    spec = specs[0]
-    columns = _columns(spec)
+    spec, columns = request.spec, request.columns
     first, rest = columns[:2], columns[2:]
     procs: list[subprocess.Popen] = []
     with ClusterLeader() as leader:
@@ -225,160 +177,127 @@ def _run_failover_arm(
                 block_first = client.extract(
                     JobRequest(spec, columns=first), timeout_s=JOB_TIMEOUT_S
                 )
-                survivor_proc, survivor_url = _spawn_worker(
-                    leader.url, "bench-survivor"
-                )
+                survivor_proc, survivor_url = _spawn_worker(leader.url, "bench-survivor")
                 procs.append(survivor_proc)
                 _await_live(leader, 2)
                 # host death with the pin's group still owing `rest`
                 victim_proc.kill()
                 victim_proc.wait(timeout=30)
-                block_rest = client.extract(
-                    JobRequest(spec, columns=rest), timeout_s=JOB_TIMEOUT_S
-                )
+                block_rest = client.extract(JobRequest(spec, columns=rest), timeout_s=JOB_TIMEOUT_S)
                 stats = client.stats()
             with ServiceClient(survivor_url, timeout_s=30.0) as client:
                 survivor_attributed = int(client.stats()["attributed_solves"])
         finally:
             _kill(procs)
-    reference = references[0]
-    got = np.concatenate([block_first, block_rest], axis=1)
-    want = reference[:, : len(columns)]
     return {
         "rerouted_columns": len(rest),
         "survivor_attributed": survivor_attributed,
         "reroutes": int(stats["cluster"]["router"]["reroutes"]),
         "dead": sorted(stats["cluster"]["registry"]["dead"]),
-        "max_abs_diff_rel": _rel_diff(got, want),
+        "max_abs_diff_rel": rel_diff(np.concatenate([block_first, block_rest], axis=1), reference),
         "lost_jobs": 0,  # both extracts above returned, or we raised
     }
 
 
-# ----------------------------------------------------------------------- run
-def run_cluster_experiment(n_side: int) -> dict:
-    specs = _specs(n_side)
-    columns_total = sum(len(_columns(spec)) for spec in specs)
+def measure(n_side: int, gates: Gates) -> dict:
+    requests = [_request(solver_spec(n_side, fill=fill)) for fill in FILLS]
+    columns_total = sum(len(request.columns) for request in requests)
 
-    single_wall, references = _run_single_host(specs)
-    wall_1w, blocks_1w, _ = _run_cluster_arm(specs, n_workers=1)
-    wall_2w, blocks_2w, stats_2w = _run_cluster_arm(specs, n_workers=2)
-    failover = _run_failover_arm(specs, references)
+    with Scheduler(n_workers=1) as scheduler:
+        single_wall, jobs = run_clients(scheduler, requests, wait_s=JOB_TIMEOUT_S)
+    references = [job.result for job in jobs]
+    wall_1w, blocks_1w, _ = _run_cluster_arm(requests, n_workers=1)
+    wall_2w, blocks_2w, stats_2w = _run_cluster_arm(requests, n_workers=2)
+    failover = _run_failover_arm(requests[0], references[0])
 
-    attributed_total = sum(int(s["attributed_solves"]) for s in stats_2w)
-    engines_built_total = sum(int(s["engines"]["built"]) for s in stats_2w)
-    cpu_count = os.cpu_count() or 1
-    return {
+    result = {
         "n_side": n_side,
-        "n_contacts": specs[0].layout.n_contacts,
-        "n_fingerprints": len(specs),
+        "n_contacts": requests[0].spec.layout.n_contacts,
+        "n_fingerprints": len(requests),
         "columns_total": columns_total,
-        "cpu_count": cpu_count,
         "single_host_wall_s": single_wall,
         "cluster1_wall_s": wall_1w,
         "cluster2_wall_s": wall_2w,
         "speedup_2v1": wall_1w / wall_2w,
-        # two workers on one core measure contention, not scaling — the
-        # speedup gate is only armed on multi-CPU runners (PR-3/PR-5 idiom)
-        "speedup_gate_active": cpu_count >= 2,
         "cluster1_max_abs_diff_rel": max(
-            _rel_diff(got, ref) for got, ref in zip(blocks_1w, references)
+            rel_diff(got, ref) for got, ref in zip(blocks_1w, references, strict=True)
         ),
         "cluster2_max_abs_diff_rel": max(
-            _rel_diff(got, ref) for got, ref in zip(blocks_2w, references)
+            rel_diff(got, ref) for got, ref in zip(blocks_2w, references, strict=True)
         ),
-        "attributed_total": attributed_total,
-        "engines_built_total": engines_built_total,
+        "attributed_total": sum(int(s["attributed_solves"]) for s in stats_2w),
+        "engines_built_total": sum(int(s["engines"]["built"]) for s in stats_2w),
         "worker_split": [int(s["attributed_solves"]) for s in stats_2w],
         "failover": failover,
     }
-
-
-def run(sizes: list[int]) -> list[dict]:
-    results = [run_cluster_experiment(n_side) for n_side in sizes]
-    payload = {"benchmark": "cluster", "results": results}
-    lines = [
-        "Leader/worker cluster: agreement, attribution, failover",
-        f"{'n_side':>6s} {'cols':>5s} {'1 host':>8s} {'1 wrk':>8s} {'2 wrk':>8s} "
-        f"{'speedup':>7s} {'gate':>5s} {'split':>7s} {'reroute':>7s} "
-        f"{'max rel diff':>13s}",
-    ]
-    for r in results:
-        split = "/".join(str(s) for s in r["worker_split"])
-        diff = max(
-            r["cluster1_max_abs_diff_rel"],
-            r["cluster2_max_abs_diff_rel"],
-            r["failover"]["max_abs_diff_rel"],
-        )
-        lines.append(
-            f"{r['n_side']:>6d} {r['columns_total']:>5d} "
-            f"{r['single_host_wall_s']:>7.3f}s {r['cluster1_wall_s']:>7.3f}s "
-            f"{r['cluster2_wall_s']:>7.3f}s {r['speedup_2v1']:>6.2f}x "
-            f"{('on' if r['speedup_gate_active'] else 'off'):>5s} "
-            f"{split:>7s} {r['failover']['reroutes']:>7d} {diff:>12.2e}"
-        )
-    emit_benchmark("BENCH_cluster", payload, "bench_cluster", lines)
-    return results
-
-
-def check(result: dict) -> list[str]:
-    """Gate one size's record; returns failure messages."""
-    failures = []
-    where = f"at n_side={result['n_side']}"
     for arm in ("cluster1", "cluster2"):
-        if result[f"{arm}_max_abs_diff_rel"] > AGREEMENT_RTOL:
-            failures.append(
-                f"{arm} blocks disagree with the single-host reference "
-                f"({result[f'{arm}_max_abs_diff_rel']:.2e} rel) {where}"
-            )
-    if result["attributed_total"] != result["columns_total"]:
-        failures.append(
-            f"attribution is not exactly-once: {result['attributed_total']} "
-            f"solves across workers for {result['columns_total']} distinct "
-            f"columns {where}"
+        diff = result[f"{arm}_max_abs_diff_rel"]
+        gates.check(
+            f"{arm} agrees with the single-host reference",
+            n_side,
+            diff <= AGREEMENT_RTOL,
+            f"{diff:.2e} rel",
         )
-    if result["engines_built_total"] != result["n_fingerprints"]:
-        failures.append(
-            f"{result['engines_built_total']} factor builds across the "
-            f"cluster for {result['n_fingerprints']} fingerprints (want "
-            f"exactly one per fingerprint) {where}"
-        )
-    failover = result["failover"]
-    if failover["lost_jobs"] != 0:
-        failures.append(f"failover lost {failover['lost_jobs']} jobs {where}")
-    if failover["max_abs_diff_rel"] > AGREEMENT_RTOL:
-        failures.append(
-            f"post-failover blocks disagree with the reference "
-            f"({failover['max_abs_diff_rel']:.2e} rel) {where}"
-        )
-    if failover["reroutes"] < 1:
-        failures.append(f"worker death did not re-route its pins {where}")
-    if failover["dead"] != ["bench-victim"]:
-        failures.append(
-            f"dead set {failover['dead']} after killing bench-victim {where}"
-        )
-    if failover["survivor_attributed"] != failover["rerouted_columns"]:
-        failures.append(
-            f"survivor solved {failover['survivor_attributed']} columns for "
-            f"{failover['rerouted_columns']} re-routed ones — columns the "
-            f"victim already solved must come from the store {where}"
-        )
-    if (
-        result["speedup_gate_active"]
-        and result["speedup_2v1"] < SPEEDUP_FLOOR
-    ):
-        failures.append(
-            f"two workers are {result['speedup_2v1']:.2f}x one worker "
-            f"(floor {SPEEDUP_FLOOR}x on a {result['cpu_count']}-CPU runner) "
-            f"{where}"
-        )
-    return failures
+    gates.check(
+        "attribution is exactly-once across the cluster",
+        n_side,
+        result["attributed_total"] == columns_total,
+        f"{result['attributed_total']} solves across workers for {columns_total} columns",
+    )
+    gates.check(
+        "one factor build per fingerprint cluster-wide",
+        n_side,
+        result["engines_built_total"] == len(requests),
+        f"{result['engines_built_total']} builds for {len(requests)} fingerprints",
+    )
+    gates.check(
+        "failover loses no job and agrees with the reference",
+        n_side,
+        failover["lost_jobs"] == 0 and failover["max_abs_diff_rel"] <= AGREEMENT_RTOL,
+        f"{failover['lost_jobs']} lost, {failover['max_abs_diff_rel']:.2e} rel",
+    )
+    gates.check(
+        "the victim's pin re-routes to the survivor",
+        n_side,
+        failover["reroutes"] >= 1 and failover["dead"] == ["bench-victim"],
+        f"{failover['reroutes']} reroutes, dead set {failover['dead']}",
+    )
+    gates.check(
+        "the survivor solves only the still-missing columns",
+        n_side,
+        failover["survivor_attributed"] == failover["rerouted_columns"],
+        f"{failover['survivor_attributed']} solves for "
+        f"{failover['rerouted_columns']} re-routed columns",
+    )
+    # two workers on one core measure contention, not scaling
+    gates.check(
+        f"two workers >= {SPEEDUP_FLOOR}x one worker",
+        n_side,
+        result["speedup_2v1"] >= SPEEDUP_FLOOR,
+        f"{result['speedup_2v1']:.2f}x",
+        armed=(os.cpu_count() or 1) >= 2,
+        timing=True,
+    )
+    return result
+
+
+def run(sizes: list[int]) -> bool:
+    gates = Gates()
+    results = [measure(s, gates) for s in sizes]
+    return emit(
+        "BENCH_cluster",
+        "cluster",
+        "leader/worker cluster over four substrate fingerprints: single-host "
+        "scheduler vs a leader with one and two worker processes, plus SIGKILL "
+        "failover of a pinned worker",
+        results,
+        gates,
+    )
 
 
 def test_bench_cluster():
-    for result in run(default_sizes()):
-        failures = check(result)
-        assert not failures, "; ".join(failures)
+    assert run(default_sizes())
 
 
 if __name__ == "__main__":
-    gate_main(run(default_sizes()), check)
+    sys.exit(0 if run(default_sizes()) else 1)

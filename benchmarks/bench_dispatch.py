@@ -1,11 +1,13 @@
 """Adaptive solver-dispatch versus the two fixed solve engines.
 
-For each backplane type this benchmark times full dense extraction with the
-dispatch policy pinned to the iterative engine (stacked-RHS CG / block
-MINRES), pinned to the direct engine (cached dense Cholesky / bordered
-Schur-complement factorisation), and left adaptive, then emits a
-machine-readable ``BENCH_dispatch.json`` (under ``benchmarks/results/``) so the
-crossover behaviour is tracked across PRs.
+For each backplane type this benchmark times full dense extraction
+(``extract_dense``, one wide ``solve_many`` block) with the dispatch policy
+pinned to the iterative engine (stacked-RHS CG / block MINRES), pinned to the
+direct engine (cached dense Cholesky / bordered Schur-complement
+factorisation), and left adaptive, then emits ``BENCH_dispatch.json`` (under
+``benchmarks/results/``) so the crossover behaviour is tracked across PRs.
+Every measurement uses a freshly built solver with the process-wide factor
+cache disabled; the minimum over the repeats is reported.
 
 Gates: the three paths must extract the same ``G``, and the adaptive policy
 must never be slower than the **worse** of the two fixed paths (it routes to
@@ -30,89 +32,106 @@ from pathlib import Path
 # as a standalone script for the CI smoke run
 sys.path.insert(0, str(Path(__file__).parent))
 
-from common import default_sizes, emit_benchmark, ensure_repro_importable, gate_main
+from common import Gates, default_sizes, emit, min_of, rel_diff, solver_spec, timed
 
-ensure_repro_importable()
-
-from repro.experiments import run_dispatch_experiment
+from repro.substrate import extract_dense
+from repro.substrate.dispatch import DispatchPolicy
 
 #: generous allowance for shared-box scheduler noise on the "adaptive is never
 #: slower than the worse fixed path" gate
 NOISE_MARGIN = 1.25
 
 
-def run(sizes: list[int]) -> list[dict]:
-    results = [
-        # the floating MINRES path at n_side=32 is minutes-scale; two repeats
-        # keep the reference run tractable while still taking a minimum
-        run_dispatch_experiment(n_side=s, repeats=3 if s <= 16 else 2)
-        for s in sizes
-    ]
-    payload = {
-        "benchmark": "dispatch",
-        "description": "adaptive direct-vs-iterative dispatch vs fixed paths, "
-        "dense extraction, eigenfunction solver, grounded and "
-        "floating backplanes",
-        "results": results,
-    }
-    lines = [
-        "Adaptive dispatch vs fixed direct/iterative paths (dense extraction)",
-        f"{'n_side':>6s} {'backplane':>9s} {'iterative':>10s} {'direct':>8s} "
-        f"{'adaptive':>9s} {'path':>9s} {'vs iter':>8s} {'max rel diff':>13s}",
-    ]
-    for r in results:
-        for backplane in ("grounded", "floating"):
-            b = r[backplane]
-            lines.append(
-                f"{r['n_side']:>6d} {backplane:>9s} {b['iterative_s']:>9.2f}s "
-                f"{b['direct_s']:>7.2f}s {b['adaptive_s']:>8.2f}s "
-                f"{b['adaptive_path']:>9s} "
-                f"{b['speedup_adaptive_vs_iterative']:>7.1f}x "
-                f"{b['max_abs_diff_rel']:>12.2e}"
-            )
-    emit_benchmark("BENCH_dispatch", payload, "bench_dispatch", lines)
-    return results
+def extraction(spec, force_path: str | None, repeats: int):
+    """Min-of-``repeats`` dense extraction on fresh solvers pinned to one path."""
+
+    def trial():
+        solver = spec.build(
+            dispatch=DispatchPolicy(force_path=force_path), use_factor_cache=False
+        )
+        elapsed, g = timed(extract_dense, solver)
+        return elapsed, (g, solver)
+
+    return min_of(repeats, trial)
 
 
-def check(result: dict) -> list[str]:
-    """Gate one size's result; returns a list of failure messages."""
-    failures = []
-    n_side = result["n_side"]
+def measure(n_side: int, gates: Gates) -> dict:
+    # the floating MINRES path at n_side=32 is minutes-scale; two repeats
+    # keep the reference run tractable while still taking a minimum
+    repeats = 3 if n_side <= 16 else 2
+    result: dict = {"n_side": n_side, "repeats": repeats}
     for backplane in ("grounded", "floating"):
-        b = result[backplane]
-        if b["max_abs_diff_rel"] >= 1e-6:
-            failures.append(
-                f"{backplane} paths disagree ({b['max_abs_diff_rel']:.2e} rel) "
-                f"at n_side={n_side}"
-            )
-        worse_fixed = max(b["iterative_s"], b["direct_s"])
-        if b["adaptive_s"] > NOISE_MARGIN * worse_fixed:
-            failures.append(
-                f"adaptive ({b['adaptive_s']:.3f}s) slower than the worse fixed "
-                f"path ({worse_fixed:.3f}s) for {backplane} at n_side={n_side}"
-            )
-        # reference scales only: tiny smoke grids are plumbing checks, their
-        # sub-millisecond timings are all noise
-        if n_side == 16:
-            best_fixed = min(b["iterative_s"], b["direct_s"])
-            if b["adaptive_s"] > 1.15 * best_fixed:
-                failures.append(
-                    f"adaptive ({b['adaptive_s']:.3f}s) does not match the best "
-                    f"fixed path ({best_fixed:.3f}s) for {backplane} at n_side=16"
-                )
-        if n_side == 32 and b["speedup_adaptive_vs_iterative"] < 1.3:
-            failures.append(
-                f"adaptive only {b['speedup_adaptive_vs_iterative']:.2f}x over "
-                f"pure-iterative for {backplane} at n_side=32 (need >= 1.3x)"
-            )
-    return failures
+        spec = solver_spec(n_side, backplane=backplane)
+        t_iter, (g_iter, s_iter) = extraction(spec, "iterative", repeats)
+        t_direct, (g_direct, _) = extraction(spec, "direct", repeats)
+        t_adaptive, (g_adaptive, s_adaptive) = extraction(spec, None, repeats)
+        scale = float(abs(g_iter).max())
+        worse_fixed = max(t_iter, t_direct)
+        best_fixed = min(t_iter, t_direct)
+        result.update(n_contacts=spec.layout.n_contacts, panel_grid=int(s_iter.grid.nx))
+        b = result[backplane] = {
+            "iterative_s": t_iter,
+            "direct_s": t_direct,
+            "adaptive_s": t_adaptive,
+            "adaptive_path": s_adaptive.last_dispatch.path,
+            "adaptive_reason": s_adaptive.last_dispatch.reason,
+            "speedup_adaptive_vs_iterative": t_iter / t_adaptive,
+            "speedup_adaptive_vs_worse_fixed": worse_fixed / t_adaptive,
+            "max_abs_diff_rel": max(
+                rel_diff(g_adaptive, g_iter, scale), rel_diff(g_adaptive, g_direct, scale)
+            ),
+            "mean_iterations_iterative": float(s_iter.mean_iterations_per_solve()),
+            "n_direct_solves_adaptive": int(s_adaptive.stats.n_direct_solves),
+            "n_iterative_solves_adaptive": int(s_adaptive.stats.n_iterative_solves),
+        }
+        gates.check(
+            f"{backplane}: the three paths agree",
+            n_side,
+            b["max_abs_diff_rel"] < 1e-6,
+            f"{b['max_abs_diff_rel']:.2e} rel",
+        )
+        gates.check(
+            f"{backplane}: adaptive <= {NOISE_MARGIN}x the worse fixed path",
+            n_side,
+            t_adaptive <= NOISE_MARGIN * worse_fixed,
+            f"adaptive {t_adaptive:.4f}s, worse fixed {worse_fixed:.4f}s",
+            timing=True,
+        )
+        gates.check(
+            f"{backplane}: adaptive <= 1.15x the best fixed path",
+            n_side,
+            t_adaptive <= 1.15 * best_fixed,
+            f"adaptive {t_adaptive:.4f}s, best fixed {best_fixed:.4f}s",
+            armed=n_side == 16,
+            timing=True,
+        )
+        gates.check(
+            f"{backplane}: adaptive >= 1.3x pure-iterative",
+            n_side,
+            b["speedup_adaptive_vs_iterative"] >= 1.3,
+            f"{b['speedup_adaptive_vs_iterative']:.2f}x",
+            armed=n_side == 32,
+            timing=True,
+        )
+    return result
+
+
+def run(sizes: list[int]) -> bool:
+    gates = Gates()
+    results = [measure(s, gates) for s in sizes]
+    return emit(
+        "BENCH_dispatch",
+        "dispatch",
+        "adaptive direct-vs-iterative dispatch vs fixed paths, dense extraction, "
+        "eigenfunction solver, grounded and floating backplanes",
+        results,
+        gates,
+    )
 
 
 def test_bench_dispatch():
-    for result in run(default_sizes()):
-        failures = check(result)
-        assert not failures, "; ".join(failures)
+    assert run(default_sizes())
 
 
 if __name__ == "__main__":
-    gate_main(run(default_sizes()), check)
+    sys.exit(0 if run(default_sizes()) else 1)

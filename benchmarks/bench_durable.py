@@ -1,16 +1,22 @@
 """Durable service state: cold start versus warm restart of the corpus.
 
 The extraction service's amortised state — solved ``G`` columns, factor
-payloads, accepted jobs — used to die with the process.  This benchmark
-runs the same overlapping multi-client workload twice against one state
-directory: a **cold** arm on an empty dir (full factorisation, one
-attributed solve per union column, everything written through to sqlite +
-the factor artifact store + the job journal) and a **warm** arm after a
-simulated process restart (the process-wide factor cache is wiped), which
-must re-serve the workload entirely from the durable corpus.  A crash-
-replay arm checks that a journaled-but-unserved job survives a kill and is
-replayed under its original id.  It emits a machine-readable
-``BENCH_durable.json`` (under ``benchmarks/results/``).
+payloads, accepted jobs — survives a restart through its state directory.
+Three schedulers run against the **same state directory**, with the
+process-wide factor cache wiped between them to simulate a process restart:
+
+* **cold** — an empty state dir: clients pay the full factorisation and one
+  attributed solve per union column, and every byte of it lands in the
+  durable corpus (sqlite columns, factor artifacts, job journal);
+* **warm** — a restarted service over the populated state dir re-serves the
+  *same* client workload entirely from the corpus, and a fresh
+  (never-solved) column — held out of every client's sample — costs
+  exactly one solve with the factor loaded from the artifact store;
+* **replay** — a scheduler accepts a job and "crashes" (the state dir
+  survives, the scheduler never finalizes the job); the next start replays
+  the journaled job under its original id.
+
+It emits ``BENCH_durable.json`` (under ``benchmarks/results/``).
 
 Hard gates (every scale, including the CI smoke run):
 
@@ -18,17 +24,16 @@ Hard gates (every scale, including the CI smoke run):
   ones to 1e-10;
 * cold attribution is exact (one solve per distinct union column) and the
   warm restart charges **zero** new solves for the replayed corpus;
-* a *fresh* (never-solved) column after restart costs exactly one solve,
-  with the factor **attached from the artifact store** — counter-pinned:
-  a bare solver over the same spec reports zero factor rebuilds while the
-  artifact store is wired and >= 1 once it is not;
+* a *fresh* column after restart costs exactly one solve, with the factor
+  **attached from the artifact store** — counter-pinned: a bare solver over
+  the same spec reports zero factor rebuilds while the artifact store is
+  wired and >= 1 once it is not;
 * the crash-replay arm replays >= 1 journaled job and completes it from
   the warm corpus with zero solves at 1e-10 agreement.
 
-Speed gate (measurably expensive cold arm only — smoke scales are
-correctness-only): the warm restart serves the workload at >= 2x the cold
-throughput (in practice it is orders of magnitude faster; the loose bound
-keeps the gate robust to scheduling noise).
+Speed gate (measurably expensive cold arm only): the warm restart serves the
+workload at >= 2x the cold throughput (in practice it is orders of magnitude
+faster; the loose bound keeps the gate robust to scheduling noise).
 
 Run directly (``REPRO_BENCH_NSIDE=8`` for a CI smoke run)::
 
@@ -39,24 +44,20 @@ or through pytest like the other benchmarks.
 
 from __future__ import annotations
 
-import os
 import sys
+import tempfile
 from pathlib import Path
+
+import numpy as np
 
 # usable both as a pytest module (benchmarks/conftest.py handles common) and
 # as a standalone script for the CI smoke run
 sys.path.insert(0, str(Path(__file__).parent))
 
-from common import (
-    default_sizes,
-    emit_benchmark,
-    ensure_repro_importable,
-    gate_main,
-)
+from common import Gates, default_sizes, emit, rel_diff, run_clients, solver_spec
 
-ensure_repro_importable()
-
-from repro.experiments import run_durable_experiment
+from repro.service import JobRequest, Scheduler
+from repro.substrate.factor_cache import factor_cache
 
 #: agreement bound: persistence may never change the answer
 AGREEMENT_RTOL = 1e-10
@@ -66,133 +67,202 @@ SPEEDUP_GATE = 2.0
 N_CLIENTS = 4
 #: the speed gate only fires once the cold arm is genuinely expensive —
 #: below this the measurement is dominated by fixed scheduling overhead,
-#: not the factorisation + solves the corpus saves (smoke runs stay
-#: correctness-only, mirroring bench_service's exemption)
+#: not the factorisation + solves the corpus saves
 MIN_GATED_COLD_S = 0.5
 
 
-def run(sizes: list[int]) -> list[dict]:
-    results = [run_durable_experiment(n_side=s, n_clients=N_CLIENTS) for s in sizes]
-    payload = {
-        "benchmark": "durable",
-        "description": "cold start vs warm restart of a persistent extraction "
-        f"service ({N_CLIENTS} concurrent clients on a shared substrate): "
-        "sqlite result corpus, content-addressed factor artifacts, "
-        "crash-safe job journal",
-        "n_clients": N_CLIENTS,
-        "cpu_count": int(os.cpu_count() or 1),
-        "results": results,
-    }
-    lines = [
-        "Durable service state: cold start vs warm restart",
-        f"{'n_side':>6s} {'union':>5s} {'cold':>9s} {'warm':>9s} {'speedup':>7s} "
-        f"{'cold slv':>8s} {'warm slv':>8s} {'disk':>5s} {'max rel diff':>13s}",
+def measure(n_side: int, state_dir: str, gates: Gates) -> dict:
+    spec = solver_spec(n_side)
+    n = spec.layout.n_contacts
+    columns_per_client = max(2, n // 4)
+    rng = np.random.default_rng(0)
+    # hold one contact out of every client's sample: the warm arm proves a
+    # *fresh* column still costs exactly one solve (store can't fake it)
+    held_out = int(rng.integers(n))
+    pool = np.array([c for c in range(n) if c != held_out])
+    requests = [
+        JobRequest(
+            spec,
+            columns=tuple(
+                int(c) for c in np.sort(rng.choice(pool, size=columns_per_client, replace=False))
+            ),
+        )
+        for _ in range(N_CLIENTS)
     ]
-    for r in results:
-        lines.append(
-            f"{r['n_side']:>6d} {r['union_columns']:>5d} {r['cold_s']:>8.3f}s "
-            f"{r['warm_s']:>8.3f}s {r['warm_speedup']:>6.2f}x "
-            f"{r['cold_attributed_solves']:>8d} {r['warm_attributed_solves']:>8d} "
-            f"{r['warm_disk_hits']:>5d} {r['warm_max_abs_diff_rel']:>12.2e}"
-        )
-        fresh = r["fresh_column"]
-        replay = r["replay"]
-        lines.append(
-            f"{r['n_side']:>6d}    fresh col: {fresh['new_solves']} solve "
-            f"({fresh['artifact_hits']} artifact hit) | probes: "
-            f"warm {r['warm_probe_rebuilds']} / cold {r['cold_probe_rebuilds']} "
-            f"rebuilds | replay: {replay['journal_replayed']} job "
-            f"({replay['new_solves']} solves, diff={replay['max_abs_diff_rel']:.2e})"
-        )
-    emit_benchmark("BENCH_durable", payload, "bench_durable", lines)
-    return results
+    union = sorted({c for request in requests for c in request.columns})
+    result: dict = {
+        "n_side": n_side,
+        "n_contacts": n,
+        "n_clients": N_CLIENTS,
+        "columns_per_client": columns_per_client,
+        "union_columns": len(union),
+        "held_out_column": held_out,
+    }
 
-
-def check(result: dict) -> list[str]:
-    """Gate one size's record; returns failure messages."""
-    failures = []
-    where = f"at n_side={result['n_side']}"
-    for arm in ("cold", "warm"):
-        if any(status != "done" for status in result[f"{arm}_status"]):
-            failures.append(f"{arm} jobs ended {result[f'{arm}_status']} {where}")
-    # cold attribution is exact: one black-box solve per distinct union column
-    if result["cold_attributed_solves"] != result["union_columns"]:
-        failures.append(
-            f"cold start solved {result['cold_attributed_solves']} columns for "
-            f"a {result['union_columns']}-column union {where}"
+    # --- cold arm: empty state dir, full factorisation + solves -------------
+    factor_cache().clear()
+    with Scheduler(persistence=state_dir) as scheduler:
+        cold_s, cold = run_clients(scheduler, requests)
+        result.update(
+            {
+                "cold_s": cold_s,
+                "cold_status": [job.status for job in cold],
+                "cold_attributed_solves": int(scheduler.attributed_solves),
+                "persistence_after_cold": scheduler.persistence.info(),
+            }
         )
+    references = [job.result for job in cold]
+    scale = float(max(np.abs(g).max() for g in references))
+
+    # --- warm arm: simulated restart over the populated state dir -----------
+    factor_cache().clear()  # a new process holds no RAM factors
+    with Scheduler(persistence=state_dir) as scheduler:
+        warm_s, warm = run_clients(scheduler, requests)
+        result.update(
+            {
+                "warm_s": warm_s,
+                "warm_status": [job.status for job in warm],
+                "warm_attributed_solves": int(scheduler.attributed_solves),
+                "warm_max_abs_diff_rel": max(
+                    rel_diff(job.result, ref, scale)
+                    for job, ref in zip(warm, references, strict=True)
+                ),
+                "warm_speedup": cold_s / warm_s,
+                "warm_disk_hits": int(scheduler.store.info()["disk_hits"]),
+            }
+        )
+
+        # fresh column: the corpus cannot fake it — exactly one solve, with
+        # the factor attached from the artifact store, not rebuilt
+        before = scheduler.attributed_solves
+        cache = factor_cache()
+        hits_before = cache.artifact_hits
+        cache.clear()  # force the engine rebuild path through artifacts
+        scheduler.pool.close()  # drop the warm engine with its factor
+        _, (job,) = run_clients(scheduler, [JobRequest(spec, columns=(held_out,))])
+        result["fresh_column"] = {
+            "status": job.status,
+            "new_solves": int(scheduler.attributed_solves - before),
+            "artifact_hits": int(cache.artifact_hits - hits_before),
+        }
+
+        # counter-pinned factor probes: a bare solver over the same spec must
+        # attach the artifact (zero rebuilds) while the store is wired, and
+        # rebuild from scratch once it is not
+        cache.clear()
+        warm_probe = spec.build()
+        warm_probe.prepare_direct()
+        result["warm_probe_rebuilds"] = int(warm_probe.stats.n_factor_rebuilds)
+    factor_cache().clear()  # artifact store now detached (scheduler closed)
+    cold_probe = spec.build()
+    cold_probe.prepare_direct()
+    result["cold_probe_rebuilds"] = int(cold_probe.stats.n_factor_rebuilds)
+
+    # --- crash replay: accept, "crash", restart, journal replays ------------
+    factor_cache().clear()
+    crashed = Scheduler(persistence=state_dir, autostart=False)
+    crash_job_id = crashed.submit(requests[0])
+    # simulated crash: the journaled accept survives on disk, but the job is
+    # never served or marked terminal (close() deliberately skips the
+    # terminal mark for still-pending work)
+    crashed.close()
+    with Scheduler(persistence=state_dir) as scheduler:
+        job = scheduler.result(crash_job_id, wait_s=600.0)
+        result["replay"] = {
+            "journal_replayed": int(scheduler.metrics.jobs_replayed),
+            "status": job.status,
+            "new_solves": int(scheduler.attributed_solves),
+            "max_abs_diff_rel": rel_diff(job.result, references[0], scale),
+        }
+
+    gates.check(
+        "every cold and warm job completes",
+        n_side,
+        all(s == "done" for s in result["cold_status"] + result["warm_status"]),
+        f"cold {result['cold_status']}, warm {result['warm_status']}",
+    )
+    gates.check(
+        "cold start solves each union column exactly once",
+        n_side,
+        result["cold_attributed_solves"] == len(union),
+        f"{result['cold_attributed_solves']} solves for a {len(union)}-column union",
+    )
     # the tentpole gate: a restarted service re-serves the corpus for free
-    if result["warm_attributed_solves"] != 0:
-        failures.append(
-            f"warm restart charged {result['warm_attributed_solves']} new "
-            f"solves for the replayed corpus {where}"
-        )
-    if result["warm_max_abs_diff_rel"] > AGREEMENT_RTOL:
-        failures.append(
-            f"warm results disagree with the cold start "
-            f"({result['warm_max_abs_diff_rel']:.2e} rel) {where}"
-        )
-    if result["warm_disk_hits"] < result["union_columns"]:
-        failures.append(
-            f"only {result['warm_disk_hits']} of {result['union_columns']} warm "
-            f"columns came from the persistent corpus {where}"
-        )
+    gates.check(
+        "warm restart charges zero solves and reads every column from disk",
+        n_side,
+        result["warm_attributed_solves"] == 0 and result["warm_disk_hits"] >= len(union),
+        f"{result['warm_attributed_solves']} solves, {result['warm_disk_hits']} disk hits "
+        f"for a {len(union)}-column union",
+    )
+    gates.check(
+        "warm restart agrees with the cold start",
+        n_side,
+        result["warm_max_abs_diff_rel"] <= AGREEMENT_RTOL,
+        f"{result['warm_max_abs_diff_rel']:.2e} rel",
+    )
     # the corpus cannot fake a fresh column — and its factor must come from
     # the artifact store, not a rebuild
     fresh = result["fresh_column"]
-    if fresh["status"] != "done" or fresh["new_solves"] != 1:
-        failures.append(
-            f"fresh column after restart cost {fresh['new_solves']} solves "
-            f"(status={fresh['status']}), expected exactly 1 {where}"
-        )
-    if fresh["artifact_hits"] < 1:
-        failures.append(
-            f"fresh column after restart never consulted the factor artifact "
-            f"store {where}"
-        )
-    if result["warm_probe_rebuilds"] != 0:
-        failures.append(
-            f"warm factor probe rebuilt {result['warm_probe_rebuilds']} factors "
-            f"despite the artifact store {where}"
-        )
-    if result["cold_probe_rebuilds"] < 1:
-        failures.append(
-            f"cold factor probe reported {result['cold_probe_rebuilds']} rebuilds "
-            f"— the probe is not measuring the rebuild path {where}"
-        )
+    gates.check(
+        "a fresh column costs one solve, factor from the artifact store",
+        n_side,
+        fresh["status"] == "done" and fresh["new_solves"] == 1 and fresh["artifact_hits"] >= 1,
+        f"status {fresh['status']}, {fresh['new_solves']} solves, "
+        f"{fresh['artifact_hits']} artifact hits",
+    )
+    gates.check(
+        "factor probes: zero rebuilds with the artifact store, >= 1 without",
+        n_side,
+        result["warm_probe_rebuilds"] == 0 and result["cold_probe_rebuilds"] >= 1,
+        f"warm {result['warm_probe_rebuilds']}, cold {result['cold_probe_rebuilds']} rebuilds",
+    )
     replay = result["replay"]
-    if replay["journal_replayed"] < 1 or replay["status"] != "done":
-        failures.append(
-            f"crash replay did not complete (replayed="
-            f"{replay['journal_replayed']}, status={replay['status']}) {where}"
-        )
-    if replay["new_solves"] != 0:
-        failures.append(
-            f"crash replay charged {replay['new_solves']} solves against a "
-            f"warm corpus {where}"
-        )
-    if replay["max_abs_diff_rel"] > AGREEMENT_RTOL:
-        failures.append(
-            f"crash replay disagrees ({replay['max_abs_diff_rel']:.2e} rel) {where}"
-        )
-    # the speed gate needs a cold arm expensive enough that fixed overheads
-    # cannot dominate the ratio
-    if (
-        result["cold_s"] >= MIN_GATED_COLD_S
-        and result["warm_speedup"] < SPEEDUP_GATE
-    ):
-        failures.append(
-            f"warm restart speedup {result['warm_speedup']:.2f}x is below the "
-            f"{SPEEDUP_GATE:.0f}x gate {where}"
-        )
-    return failures
+    gates.check(
+        "crash replay completes from the warm corpus with zero solves",
+        n_side,
+        replay["journal_replayed"] >= 1
+        and replay["status"] == "done"
+        and replay["new_solves"] == 0
+        and replay["max_abs_diff_rel"] <= AGREEMENT_RTOL,
+        f"replayed {replay['journal_replayed']}, status {replay['status']}, "
+        f"{replay['new_solves']} solves, {replay['max_abs_diff_rel']:.2e} rel",
+    )
+    gates.check(
+        f"warm restart >= {SPEEDUP_GATE:g}x cold throughput",
+        n_side,
+        result["warm_speedup"] >= SPEEDUP_GATE,
+        f"{result['warm_speedup']:.2f}x (cold {cold_s:.3f}s)",
+        armed=cold_s >= MIN_GATED_COLD_S,
+        timing=True,
+    )
+    return result
+
+
+def run(sizes: list[int]) -> bool:
+    gates = Gates()
+    results = []
+    for s in sizes:
+        with tempfile.TemporaryDirectory(prefix="repro_durable_") as state_dir:
+            try:
+                results.append(measure(s, state_dir, gates))
+            finally:
+                factor_cache().clear()
+                factor_cache().set_artifact_store(None)  # never outlive the state dir
+    return emit(
+        "BENCH_durable",
+        "durable",
+        "cold start vs warm restart of a persistent extraction service "
+        f"({N_CLIENTS} concurrent clients on a shared substrate): sqlite result "
+        "corpus, content-addressed factor artifacts, crash-safe job journal",
+        results,
+        gates,
+    )
 
 
 def test_bench_durable():
-    for result in run(default_sizes()):
-        failures = check(result)
-        assert not failures, "; ".join(failures)
+    assert run(default_sizes())
 
 
 if __name__ == "__main__":
-    gate_main(run(default_sizes()), check)
+    sys.exit(0 if run(default_sizes()) else 1)

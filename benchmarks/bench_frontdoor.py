@@ -25,8 +25,8 @@ answer the service gives).  An isolated single-process extraction is also
 recorded and gated at 2x the solver's ``rtol`` — the service's warm
 parallel engine and a cold local solver are distinct iterative solves, so
 they agree to solver tolerance, not bit-exactly (that engine-level
-agreement story lives in ``bench_service``).  Emits a machine-readable
-``BENCH_frontdoor.json`` (under ``benchmarks/results/``).
+agreement story lives in ``bench_service``).  Emits ``BENCH_frontdoor.json``
+(under ``benchmarks/results/``).
 
 Run directly (``REPRO_BENCH_NSIDE=8`` for a CI smoke run)::
 
@@ -38,13 +38,11 @@ or through pytest like the other benchmarks.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 import urllib.error
 import urllib.request
 from pathlib import Path
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -52,23 +50,11 @@ import numpy as np
 # as a standalone script for the CI smoke run
 sys.path.insert(0, str(Path(__file__).parent))
 
-from common import (
-    default_sizes,
-    emit_benchmark,
-    ensure_repro_importable,
-    gate_main,
-)
+from common import SOLVER_RTOL, Gates, default_sizes, emit, fan_out, rel_diff, solver_spec, timed
 
-ensure_repro_importable()
-
-from repro.geometry.layouts import regular_grid
 from repro.service import AsyncExtractionServer, JobRequest, ServiceClient
 from repro.substrate.extraction import extract_columns
-from repro.substrate.parallel import SolverSpec
-from repro.substrate.profile import SubstrateProfile
 
-#: solver tolerance of the benchmark substrate
-SOLVER_RTOL = 1e-8
 #: wire-fidelity bound: streaming/batching may never change the service's answer
 AGREEMENT_RTOL = 1e-10
 #: bound against an isolated single-process solve (two independent iterative
@@ -97,7 +83,7 @@ def _stream_one(url: str, request: JobRequest) -> dict:
             if event["event"] == "columns":
                 if first_columns_s is None:
                     first_columns_s = time.perf_counter() - start
-                for j, column in zip(event["columns"], event["block"].T):
+                for j, column in zip(event["columns"], event["block"].T, strict=True):
                     blocks[j] = column
             elif event["event"] == "done":
                 done_s = time.perf_counter() - start
@@ -129,15 +115,13 @@ def _probe_retired_paths(url: str) -> dict:
     return answers
 
 
-def run_frontdoor_experiment(n_side: int, seed: int = 0) -> dict:
-    layout = regular_grid(n_side=n_side, size=128.0, fill=0.5)
-    profile = SubstrateProfile.two_layer_example(size=128.0, resistive_bottom=True)
-    n = layout.n_contacts
-    spec = SolverSpec.bem(layout, profile, max_panels=256, rtol=1e-8)
+def measure(n_side: int, gates: Gates) -> dict:
+    spec = solver_spec(n_side)
+    n = spec.layout.n_contacts
 
     # overlapping column sets drawn from one half of the contacts, so the
     # scheduler's cross-stream coalescing has real work to share
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pool = np.sort(rng.choice(n, size=max(COLUMNS_PER_STREAM, n // 2), replace=False))
     stream_columns = [
         tuple(
@@ -164,15 +148,11 @@ def run_frontdoor_experiment(n_side: int, seed: int = 0) -> dict:
         pair_max_batch=N_PAIR_CLIENTS,
     ) as server:
         # --- streaming arm --------------------------------------------------
-        start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=N_STREAMS) as executor:
-            streams = list(
-                executor.map(
-                    lambda cols: _stream_one(server.url, JobRequest(spec, columns=cols)),
-                    stream_columns,
-                )
-            )
-        stream_wall_s = time.perf_counter() - start
+        stream_wall_s, streams = timed(
+            fan_out,
+            lambda cols: _stream_one(server.url, JobRequest(spec, columns=cols)),
+            stream_columns,
+        )
 
         # the service's own plain job path over the same union: the
         # wire-fidelity reference (served from the result store, so this is
@@ -185,7 +165,7 @@ def run_frontdoor_experiment(n_side: int, seed: int = 0) -> dict:
         stream_diff = 0.0
         leads = []
         ordered = True
-        for cols, stream in zip(stream_columns, streams):
+        for cols, stream in zip(stream_columns, streams, strict=True):
             kinds = stream["kinds"]
             has_columns = "columns" in kinds and "done" in kinds
             ordered = ordered and has_columns and (
@@ -198,137 +178,105 @@ def run_frontdoor_experiment(n_side: int, seed: int = 0) -> dict:
                 if got is None:
                     ordered = False
                     continue
-                diff = np.abs(got - reference[:, union_index[j]]).max() / scale
-                stream_diff = max(stream_diff, float(diff))
-        isolated_diff = float(np.abs(reference - isolated).max() / scale)
+                stream_diff = max(stream_diff, rel_diff(got, reference[:, union_index[j]], scale))
 
         # --- micro-batching arm --------------------------------------------
-        start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=N_PAIR_CLIENTS) as executor:
+        def one_query(pairs):
+            with ServiceClient(server.url, timeout_s=600.0) as client:
+                return client.pairs(spec, pairs, timeout_s=600.0)
 
-            def one_query(pairs):
-                with ServiceClient(server.url, timeout_s=600.0) as client:
-                    return client.pairs(spec, pairs, timeout_s=600.0)
-
-            pair_values = list(executor.map(one_query, pair_queries))
-        pairs_wall_s = time.perf_counter() - start
-
+        pairs_wall_s, pair_values = timed(fan_out, one_query, pair_queries)
         pair_diff = 0.0
-        for pairs, values in zip(pair_queries, pair_values):
-            for (i, j), value in zip(pairs, values):
-                diff = abs(value - reference[i, union_index[j]]) / scale
-                pair_diff = max(pair_diff, float(diff))
+        for pairs, values in zip(pair_queries, pair_values, strict=True):
+            for (i, j), value in zip(pairs, values, strict=True):
+                pair_diff = max(pair_diff, rel_diff(value, reference[i, union_index[j]], scale))
 
         frontdoor = ServiceClient(server.url).stats()["frontdoor"]
         retired_paths = _probe_retired_paths(server.url)
 
-    return {
-        "n_side": int(n_side),
-        "n_contacts": int(n),
+    result = {
+        "n_side": n_side,
+        "n_contacts": n,
         "n_streams": N_STREAMS,
         "columns_per_stream": COLUMNS_PER_STREAM,
         "union_columns": len(union),
-        "cpu_count": int(os.cpu_count() or 1),
-        "stream_wall_s": float(stream_wall_s),
+        "stream_wall_s": stream_wall_s,
         "first_column_before_done": bool(ordered),
-        "first_column_lead_s": [float(lead) for lead in leads],
+        "first_column_lead_s": leads,
         "median_first_column_lead_s": float(np.median(leads)) if leads else None,
-        "stream_max_abs_diff_rel": float(stream_diff),
-        "isolated_max_abs_diff_rel": isolated_diff,
+        "stream_max_abs_diff_rel": stream_diff,
+        "isolated_max_abs_diff_rel": rel_diff(reference, isolated, scale),
         "n_pair_clients": N_PAIR_CLIENTS,
-        "pairs_wall_s": float(pairs_wall_s),
-        "pairs_max_abs_diff_rel": float(pair_diff),
+        "pairs_wall_s": pairs_wall_s,
+        "pairs_max_abs_diff_rel": pair_diff,
         "frontdoor": frontdoor,
         "retired_paths": retired_paths,
     }
+    gates.check(
+        "every stream delivers its first columns before job completion",
+        n_side,
+        ordered,
+        f"leads {[round(lead, 4) for lead in leads]} s",
+    )
+    gates.check(
+        "streamed columns agree with the plain /v1 job path",
+        n_side,
+        stream_diff <= AGREEMENT_RTOL,
+        f"{stream_diff:.2e} rel",
+    )
+    gates.check(
+        "micro-batched pair values agree with the plain /v1 job path",
+        n_side,
+        pair_diff <= AGREEMENT_RTOL,
+        f"{pair_diff:.2e} rel",
+    )
+    gates.check(
+        "service agrees with an isolated solve to solver tolerance",
+        n_side,
+        result["isolated_max_abs_diff_rel"] <= ISOLATED_RTOL,
+        f"{result['isolated_max_abs_diff_rel']:.2e} rel",
+    )
+    gates.check(
+        "one stream opened and one pair query counted per client",
+        n_side,
+        frontdoor["streams_opened"] == N_STREAMS
+        and frontdoor["microbatch_queries"] == N_PAIR_CLIENTS,
+        f"{frontdoor['streams_opened']} streams, {frontdoor['microbatch_queries']} queries",
+    )
+    gates.check(
+        "micro-batching coalesces pair queries into fewer submits",
+        n_side,
+        1 <= frontdoor["microbatch_submits"] < frontdoor["microbatch_queries"],
+        f"{frontdoor['microbatch_queries']} queries became "
+        f"{frontdoor['microbatch_submits']} submits",
+    )
+    gates.check(
+        "retired pickle-era paths answer 404 not_found",
+        n_side,
+        all(answer == [404, "not_found"] for answer in retired_paths.values()),
+        f"{retired_paths}",
+    )
+    return result
 
 
-def run(sizes: list[int]) -> list[dict]:
-    results = [run_frontdoor_experiment(n_side=s) for s in sizes]
-    payload = {
-        "benchmark": "frontdoor",
-        "description": "asyncio /v1 front door: NDJSON streaming (columns "
-        f"pushed before job completion, {N_STREAMS} concurrent clients) and "
-        f"HTTP micro-batching of {N_PAIR_CLIENTS} concurrent pair queries "
-        "over one fingerprint; pickle-free schema wire throughout",
-        "results": results,
-    }
-    lines = [
-        "Async front door: streaming + HTTP micro-batching",
-        f"{'n_side':>6s} {'streams':>7s} {'union':>5s} {'stream':>8s} "
-        f"{'lead':>7s} {'queries':>7s} {'submits':>7s} {'pairs':>8s} "
-        f"{'max rel diff':>13s}",
-    ]
-    for r in results:
-        lead = r["median_first_column_lead_s"]
-        lines.append(
-            f"{r['n_side']:>6d} {r['n_streams']:>7d} {r['union_columns']:>5d} "
-            f"{r['stream_wall_s']:>7.3f}s "
-            f"{(f'{lead:.3f}s' if lead is not None else 'n/a'):>7s} "
-            f"{r['frontdoor']['microbatch_queries']:>7d} "
-            f"{r['frontdoor']['microbatch_submits']:>7d} "
-            f"{r['pairs_wall_s']:>7.3f}s "
-            f"{max(r['stream_max_abs_diff_rel'], r['pairs_max_abs_diff_rel']):>12.2e}"
-        )
-    emit_benchmark("BENCH_frontdoor", payload, "bench_frontdoor", lines)
-    return results
-
-
-def check(result: dict) -> list[str]:
-    """Gate one size's record; returns failure messages."""
-    failures = []
-    where = f"at n_side={result['n_side']}"
-    frontdoor = result["frontdoor"]
-    if not result["first_column_before_done"]:
-        failures.append(
-            f"a stream did not deliver its first columns before job "
-            f"completion {where}"
-        )
-    if result["stream_max_abs_diff_rel"] > AGREEMENT_RTOL:
-        failures.append(
-            f"streamed columns disagree with the plain /v1 job path "
-            f"({result['stream_max_abs_diff_rel']:.2e} rel) {where}"
-        )
-    if result["pairs_max_abs_diff_rel"] > AGREEMENT_RTOL:
-        failures.append(
-            f"micro-batched pair values disagree with the plain /v1 job path "
-            f"({result['pairs_max_abs_diff_rel']:.2e} rel) {where}"
-        )
-    if result["isolated_max_abs_diff_rel"] > ISOLATED_RTOL:
-        failures.append(
-            f"service results drift beyond solver tolerance from an "
-            f"isolated single-process solve "
-            f"({result['isolated_max_abs_diff_rel']:.2e} rel) {where}"
-        )
-    if frontdoor["streams_opened"] != result["n_streams"]:
-        failures.append(
-            f"{frontdoor['streams_opened']} streams opened for "
-            f"{result['n_streams']} clients {where}"
-        )
-    if frontdoor["microbatch_queries"] != result["n_pair_clients"]:
-        failures.append(
-            f"{frontdoor['microbatch_queries']} micro-batch queries counted "
-            f"for {result['n_pair_clients']} clients {where}"
-        )
-    if not 1 <= frontdoor["microbatch_submits"] < frontdoor["microbatch_queries"]:
-        failures.append(
-            f"micro-batching did not coalesce: {frontdoor['microbatch_queries']} "
-            f"queries became {frontdoor['microbatch_submits']} submits {where}"
-        )
-    for path, (status, code) in result["retired_paths"].items():
-        if (status, code) != (404, "not_found"):
-            failures.append(
-                f"retired pickle-era path {path} answered {status} {code} "
-                f"instead of 404 not_found {where}"
-            )
-    return failures
+def run(sizes: list[int]) -> bool:
+    gates = Gates()
+    results = [measure(s, gates) for s in sizes]
+    return emit(
+        "BENCH_frontdoor",
+        "frontdoor",
+        "asyncio /v1 front door: NDJSON streaming (columns pushed before job "
+        f"completion, {N_STREAMS} concurrent clients) and HTTP micro-batching of "
+        f"{N_PAIR_CLIENTS} concurrent pair queries over one fingerprint; pickle-free "
+        "schema wire throughout",
+        results,
+        gates,
+    )
 
 
 def test_bench_frontdoor():
-    for result in run(default_sizes()):
-        failures = check(result)
-        assert not failures, "; ".join(failures)
+    assert run(default_sizes())
 
 
 if __name__ == "__main__":
-    gate_main(run(default_sizes()), check)
+    sys.exit(0 if run(default_sizes()) else 1)

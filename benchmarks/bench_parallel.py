@@ -5,17 +5,22 @@ floating) this benchmark times full dense extraction serially and through a
 ``ParallelExtractor`` with each configured worker count
 (``REPRO_BENCH_WORKERS``, default ``2,4``), and measures the cross-solver
 factor cache: cold first-factor time versus the warm load a second solver
-pays over the same ``(layout, profile, grid)``.  It emits a machine-readable
-``BENCH_parallel.json`` (under ``benchmarks/results/``) so the scaling behaviour is
-tracked across PRs; every record carries the host's CPU count and the
-process-wide factor-cache hit/miss counters.
+pays over the same ``(layout, profile, grid)``.  It emits
+``BENCH_parallel.json`` (under ``benchmarks/results/``) so the scaling
+behaviour is tracked across PRs; every result carries its own factor-cache
+hit/miss deltas.
+
+The comparison isolates *solve* parallelism: the direct factor is prepared
+before the timed region on both sides (workers warm theirs during untimed
+pool start-up via ``prepare_direct``).  Both extractions run through a
+``CountingSolver`` so the record pins that parallel attribution equals serial
+attribution, and the extractor's merged per-process ``SolveStats`` are
+included.
 
 Gates: parallel extraction must match serial to 1e-10 with identical
 attributed solve counts (hard everywhere); on a multi-core host the parallel
-path must never be slower than 0.9x serial (the CI smoke gate — the timed
-region isolates solves, with worker factor warm-up during untimed pool
-start-up); and at reference scale the warm factor load must be >= 10x faster
-than the cold build.
+path must never be slower than 0.9x serial; and at reference scale the warm
+factor load must be >= 10x faster than the cold build.
 
 Run directly (``REPRO_BENCH_NSIDE=8 REPRO_BENCH_WORKERS=2`` for a CI smoke
 run)::
@@ -36,17 +41,23 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from common import (
+    Gates,
     bench_workers,
     default_sizes,
-    emit_benchmark,
-    ensure_repro_importable,
-    gate_main,
+    emit,
     is_reference_run,
+    min_of,
+    rel_diff,
+    solver_spec,
+    timed,
 )
 
-ensure_repro_importable()
-
-from repro.experiments import run_parallel_extraction_experiment
+from repro.substrate import CountingSolver, extract_dense
+from repro.substrate.bem.solver import BEM_FACTOR_KIND
+from repro.substrate.factor_cache import factor_cache, factor_cache_clear
+from repro.substrate.fd.direct import FD_FACTOR_KIND
+from repro.substrate.parallel import ParallelExtractor
+from repro.substrate.solver_base import SolveStats
 
 #: agreement bound: sharding must not change the extracted G
 AGREEMENT_RTOL = 1e-10
@@ -59,108 +70,141 @@ MIN_SPEEDUP_MULTICORE = 0.9
 MIN_SPEEDUP_OVERSUBSCRIBED = 0.3
 #: speed gates only apply when the serial region is long enough to measure:
 #: below this, the fixed per-block IPC cost (a few ms) dominates any signal
-#: (same rationale as the other benches' "smoke timings are noise" carve-out)
 MIN_GATED_SERIAL_S = 0.05
 #: reference-scale gate on the cross-solver factor cache
 MIN_FACTOR_WARM_SPEEDUP = 10.0
 
 
-def run(sizes: list[int]) -> list[dict]:
-    workers = tuple(bench_workers())
-    results: list[dict] = []
-    for s in sizes:
-        results.extend(
-            run_parallel_extraction_experiment(
-                n_side=s,
-                workers=workers,
-                repeats=3 if s <= 16 else 2,
-            )
-        )
-    payload = {
-        "benchmark": "parallel_extraction",
-        "description": "serial adaptive dense extraction vs process-parallel "
-        "sharded extraction (ParallelExtractor), plus cold/warm "
-        "cross-solver factor-cache timings; eigenfunction and "
-        "finite-difference backends, grounded and floating "
-        "backplanes",
-        "workers": list(workers),
-        "cpu_count": int(os.cpu_count() or 1),
-        "results": results,
+def measure(n_side, backend, backplane, workers, gates: Gates) -> dict:
+    repeats = 3 if n_side <= 16 else 2
+    spec = solver_spec(n_side, backend, backplane)
+    where = f"{backend}/{backplane}"
+
+    # --- cross-solver factor cache: cold build vs warm load ----------------
+    cache_before = factor_cache().cache_info()
+    factor_cache_clear(BEM_FACTOR_KIND)
+    factor_cache_clear(FD_FACTOR_KIND)
+    cold_factor_s, factorable = timed(spec.build().prepare_direct)
+    warm_factor_s, _ = timed(spec.build().prepare_direct)
+
+    # --- serial adaptive path (factor prepared, solves timed) --------------
+    def serial():
+        solver = spec.build()
+        solver.prepare_direct()
+        counting = CountingSolver(solver)
+        elapsed, g = timed(extract_dense, counting)
+        return elapsed, (g, counting)
+
+    t_serial, (g_serial, serial_counting) = min_of(repeats, serial)
+    result: dict = {
+        "backend": backend,
+        "backplane": backplane,
+        "n_side": n_side,
+        "n_contacts": spec.layout.n_contacts,
+        "repeats": repeats,
+        "serial_s": t_serial,
+        "serial_solves": int(serial_counting.solve_count),
+        "serial_stats": serial_counting.inner.stats.as_dict(),
+        "factorable": bool(factorable),
+        "cold_factor_s": cold_factor_s,
+        "warm_factor_s": warm_factor_s,
+        "factor_warm_speedup": cold_factor_s / max(warm_factor_s, 1e-9),
+        "parallel": [],
     }
-    lines = [
-        "Process-parallel extraction vs serial adaptive path",
-        f"{'n_side':>6s} {'backend':>7s} {'backplane':>9s} {'serial':>8s} "
-        f"{'workers':>7s} {'parallel':>9s} {'speedup':>8s} {'coldF':>8s} "
-        f"{'warmF':>9s} {'max rel diff':>13s}",
-    ]
-    for r in results:
-        for p in r["parallel"]:
-            lines.append(
-                f"{r['n_side']:>6d} {r['backend']:>7s} {r['backplane']:>9s} "
-                f"{r['serial_s']:>7.2f}s {p['workers']:>7d} "
-                f"{p['parallel_s']:>8.2f}s {p['speedup_vs_serial']:>7.2f}x "
-                f"{r['cold_factor_s']:>7.3f}s {r['warm_factor_s']:>8.5f}s "
-                f"{p['max_abs_diff_rel']:>12.2e}"
-            )
-    emit_benchmark("BENCH_parallel", payload, "bench_parallel", lines)
-    return results
 
+    # --- parallel extraction per worker count ------------------------------
+    for n_workers in workers:
+        with ParallelExtractor(spec, n_workers=n_workers, prepare_direct=True) as extractor:
+            setup_s, _ = timed(extractor.warm_up)
+            counting = CountingSolver(extractor)
 
-def check(result: dict) -> list[str]:
-    """Gate one (backend, backplane, size) record; returns failure messages."""
-    failures = []
-    where = (
-        f"{result['backend']}/{result['backplane']} at n_side={result['n_side']}"
-    )
-    cpu_count = result.get("cpu_count", 1)
-    for p in result["parallel"]:
-        min_speedup = (
+            def parallel(extractor=extractor, counting=counting):
+                counting.reset()
+                extractor.stats = SolveStats()
+                return timed(extract_dense, counting)
+
+            t_parallel, g_parallel = min_of(repeats, parallel)
+            p = {
+                "workers": n_workers,
+                "setup_s": setup_s,
+                "parallel_s": t_parallel,
+                "speedup_vs_serial": t_serial / t_parallel,
+                "max_abs_diff_rel": rel_diff(g_parallel, g_serial),
+                "parallel_solves": int(counting.solve_count),
+                "merged_stats": extractor.stats.as_dict(),
+            }
+        result["parallel"].append(p)
+        at = f"{where}, {n_workers} workers"
+        gates.check(
+            f"{at}: parallel agrees with serial",
+            n_side,
+            p["max_abs_diff_rel"] <= AGREEMENT_RTOL,
+            f"{p['max_abs_diff_rel']:.2e} rel",
+        )
+        gates.check(
+            f"{at}: attribution equals serial",
+            n_side,
+            p["parallel_solves"] == result["serial_solves"]
+            and p["merged_stats"]["n_solves"] == result["serial_solves"],
+            f"parallel {p['parallel_solves']}, merged worker stats "
+            f"{p['merged_stats']['n_solves']}, serial {result['serial_solves']} solves",
+        )
+        floor = (
             MIN_SPEEDUP_MULTICORE
-            if p["workers"] <= cpu_count
+            if n_workers <= (os.cpu_count() or 1)
             else MIN_SPEEDUP_OVERSUBSCRIBED
         )
-        if p["max_abs_diff_rel"] > AGREEMENT_RTOL:
-            failures.append(
-                f"parallel extraction disagrees with serial "
-                f"({p['max_abs_diff_rel']:.2e} rel, {p['workers']} workers) {where}"
-            )
-        if p["parallel_solves"] != result["serial_solves"]:
-            failures.append(
-                f"attribution drift: parallel {p['parallel_solves']} vs serial "
-                f"{result['serial_solves']} solves ({p['workers']} workers) {where}"
-            )
-        if p["merged_stats"]["n_solves"] != result["serial_solves"]:
-            failures.append(
-                f"merged worker stats report {p['merged_stats']['n_solves']} "
-                f"solves, expected {result['serial_solves']} {where}"
-            )
-        if (
-            result["serial_s"] >= MIN_GATED_SERIAL_S
-            and p["speedup_vs_serial"] < min_speedup
-        ):
-            failures.append(
-                f"parallel path only {p['speedup_vs_serial']:.2f}x serial "
-                f"({p['workers']} workers, floor {min_speedup}x) {where}"
-            )
-    # timing the warm load only means anything at reference scale; smoke-scale
-    # factors are sub-millisecond and all noise
-    if (
-        is_reference_run()
-        and result["factorable"]
-        and result["factor_warm_speedup"] < MIN_FACTOR_WARM_SPEEDUP
-    ):
-        failures.append(
-            f"warm factor load only {result['factor_warm_speedup']:.1f}x faster "
-            f"than cold build (need >= {MIN_FACTOR_WARM_SPEEDUP}x) {where}"
+        gates.check(
+            f"{at}: parallel >= {floor}x serial",
+            n_side,
+            p["speedup_vs_serial"] >= floor,
+            f"{p['speedup_vs_serial']:.2f}x (serial {t_serial:.3f}s)",
+            armed=t_serial >= MIN_GATED_SERIAL_S,
+            timing=True,
         )
-    return failures
+
+    # per-result counter deltas: the process-wide counters are cumulative,
+    # so attribute only this combination's traffic
+    cache_after = factor_cache().cache_info()
+    result["factor_cache"] = {
+        key: cache_after[key] - cache_before[key] for key in ("hits", "misses", "evictions")
+    }
+    result["factor_cache"].update(entries=cache_after["entries"], bytes=cache_after["bytes"])
+    gates.check(
+        f"{where}: warm factor load >= {MIN_FACTOR_WARM_SPEEDUP:g}x the cold build",
+        n_side,
+        result["factor_warm_speedup"] >= MIN_FACTOR_WARM_SPEEDUP,
+        f"{result['factor_warm_speedup']:.1f}x",
+        armed=is_reference_run() and result["factorable"],
+        timing=True,
+    )
+    return result
+
+
+def run(sizes: list[int]) -> bool:
+    workers = bench_workers()
+    gates = Gates()
+    results = [
+        measure(s, backend, backplane, workers, gates)
+        for s in sizes
+        for backend in ("bem", "fd")
+        for backplane in ("grounded", "floating")
+    ]
+    return emit(
+        "BENCH_parallel",
+        "parallel_extraction",
+        "serial adaptive dense extraction vs process-parallel sharded extraction "
+        "(ParallelExtractor), plus cold/warm cross-solver factor-cache timings; "
+        "eigenfunction and finite-difference backends, grounded and floating "
+        "backplanes",
+        results,
+        gates,
+    )
 
 
 def test_bench_parallel():
-    for result in run(default_sizes()):
-        failures = check(result)
-        assert not failures, "; ".join(failures)
+    assert run(default_sizes())
 
 
 if __name__ == "__main__":
-    gate_main(run(default_sizes()), check)
+    sys.exit(0 if run(default_sizes()) else 1)

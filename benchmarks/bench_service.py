@@ -1,15 +1,18 @@
 """Extraction service: coalesced scheduling versus one-solver-per-request.
 
 Eight concurrent clients request overlapping column sets of the same
-substrate's ``G``.  The baseline arm is the pre-service status quo — every
-client builds its own solver (factor cache disabled, emulating independent
-processes) and extracts its columns in isolation.  The service arm submits
-the same workload as :class:`~repro.service.jobs.JobRequest` jobs to one
+substrate's ``G``, each a random sample drawn from a shared half of the
+contacts (heavy overlap — the workload the service exists for).  The
+baseline arm is the pre-service status quo — every client builds its own
+solver (factor cache disabled, emulating independent processes) and extracts
+its columns in isolation; its blocks double as the agreement references.
+The service arm submits the same workload as
+:class:`~repro.service.jobs.JobRequest` jobs to one
 :class:`~repro.service.scheduler.Scheduler`, which coalesces them over the
 shared substrate fingerprint, solves only the union of fresh columns on a
 persistent warm engine, and serves overlaps from the result store.  A
 2-client round trip through the real HTTP server checks the wire path.  It
-emits a machine-readable ``BENCH_service.json`` (under ``benchmarks/results/``).
+emits ``BENCH_service.json`` (under ``benchmarks/results/``).
 
 Hard gates (every scale, including the CI smoke run):
 
@@ -24,9 +27,8 @@ Hard gates (every scale, including the CI smoke run):
 * the HTTP arm solves each distinct column at most once across its clients
   (cross-request amortisation on the wire path).
 
-Speed gate (>= 2 CPUs and a measurably expensive baseline only — smoke
-scales are correctness-only): the service serves the 8-client workload at
->= 3x the one-solver-per-request throughput.
+Speed gate (>= 2 CPUs and a measurably expensive baseline only): the service
+serves the 8-client workload at >= 3x the one-solver-per-request throughput.
 
 Run directly (``REPRO_BENCH_NSIDE=8`` for a CI smoke run)::
 
@@ -41,20 +43,25 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 # usable both as a pytest module (benchmarks/conftest.py handles common) and
 # as a standalone script for the CI smoke run
 sys.path.insert(0, str(Path(__file__).parent))
 
 from common import (
+    Gates,
     default_sizes,
-    emit_benchmark,
-    ensure_repro_importable,
-    gate_main,
+    emit,
+    fan_out,
+    rel_diff,
+    run_clients,
+    solver_spec,
+    timed,
 )
 
-ensure_repro_importable()
-
-from repro.experiments import run_service_experiment
+from repro.service import AsyncExtractionServer, JobRequest, Scheduler, ServiceClient
+from repro.substrate import CountingSolver, extract_columns
 
 #: agreement bound: the service may never change the answer
 AGREEMENT_RTOL = 1e-10
@@ -62,120 +69,177 @@ AGREEMENT_RTOL = 1e-10
 SPEEDUP_GATE = 3.0
 #: clients in the concurrent in-process arm
 N_CLIENTS = 8
+#: clients in the HTTP round trip
+HTTP_CLIENTS = 2
+COALESCE_WINDOW_S = 0.05
 #: the speed gate only fires once the baseline is genuinely expensive —
 #: below this the measurement is dominated by the coalesce window and fixed
-#: scheduling overhead, not solver work (smoke runs stay correctness-only,
-#: mirroring bench_parallel's measurable-serial exemption)
+#: scheduling overhead, not solver work
 MIN_GATED_BASELINE_S = 0.5
 
 
-def run(sizes: list[int]) -> list[dict]:
-    results = [run_service_experiment(n_side=s, n_clients=N_CLIENTS) for s in sizes]
-    payload = {
-        "benchmark": "service",
-        "description": "extraction service (coalesced scheduler + result store + "
-        "persistent warm engines) vs one-solver-per-request at "
-        f"{N_CLIENTS} concurrent clients on a shared substrate, plus "
-        "a 2-client HTTP round trip",
-        "n_clients": N_CLIENTS,
-        "cpu_count": int(os.cpu_count() or 1),
-        "results": results,
-    }
-    lines = [
-        "Extraction service: coalesced vs one-solver-per-request",
-        f"{'n_side':>6s} {'clients':>7s} {'union':>5s} {'baseline':>9s} "
-        f"{'service':>9s} {'speedup':>7s} {'solved':>6s} {'store':>5s} "
-        f"{'max rel diff':>13s}",
+def measure(n_side: int, gates: Gates) -> dict:
+    spec = solver_spec(n_side)
+    baseline_spec = solver_spec(n_side, use_factor_cache=False)
+    n = spec.layout.n_contacts
+    columns_per_client = max(2, n // 4)
+    rng = np.random.default_rng(0)
+    pool = np.sort(rng.choice(n, size=max(columns_per_client, n // 2), replace=False))
+    client_columns = [
+        tuple(int(c) for c in np.sort(rng.choice(pool, size=columns_per_client, replace=False)))
+        for _ in range(N_CLIENTS)
     ]
-    for r in results:
-        lines.append(
-            f"{r['n_side']:>6d} {r['n_clients']:>7d} {r['union_columns']:>5d} "
-            f"{r['baseline_s']:>8.3f}s {r['service_s']:>8.3f}s "
-            f"{r['throughput_speedup']:>6.2f}x {r['columns_solved']:>6d} "
-            f"{r['columns_from_store']:>5d} {r['max_abs_diff_rel']:>12.2e}"
-        )
-        http = r.get("http")
-        if http:
-            lines.append(
-                f"{r['n_side']:>6d}    http clients={http['clients']} "
-                f"union={http['union_columns']} solved={http['columns_solved']} "
-                f"batches={http['batches']} diff={http['max_abs_diff_rel']:.2e}"
-            )
-    emit_benchmark("BENCH_service", payload, "bench_service", lines)
-    return results
+    union = sorted({c for cols in client_columns for c in cols})
 
+    # --- baseline: one fresh solver per concurrent request ------------------
+    def baseline_client(columns):
+        counting = CountingSolver(baseline_spec.build())
+        return extract_columns(counting, np.asarray(columns, dtype=int)), counting.solve_count
 
-def check(result: dict) -> list[str]:
-    """Gate one size's record; returns failure messages."""
-    failures = []
-    where = f"at n_side={result['n_side']}"
-    if any(status != "done" for status in result["service_status"]):
-        failures.append(f"service jobs ended {result['service_status']} {where}")
-    if result["max_abs_diff_rel"] > AGREEMENT_RTOL:
-        failures.append(
-            f"service results disagree with isolated per-request extraction "
-            f"({result['max_abs_diff_rel']:.2e} rel) {where}"
+    baseline_s, baseline = timed(fan_out, baseline_client, client_columns)
+    references = [block for block, _ in baseline]
+    scale = float(max(np.abs(g).max() for g in references))
+    result: dict = {
+        "n_side": n_side,
+        "n_contacts": n,
+        "n_clients": N_CLIENTS,
+        "columns_per_client": columns_per_client,
+        "union_columns": len(union),
+        "baseline_s": baseline_s,
+        "baseline_counts": [int(count) for _, count in baseline],
+    }
+
+    # --- service: coalesced jobs against one scheduler ----------------------
+    requests = [JobRequest(spec, columns=cols) for cols in client_columns]
+    with Scheduler(coalesce_window_s=COALESCE_WINDOW_S) as scheduler:
+        service_s, jobs = run_clients(scheduler, requests)
+        stats = scheduler.stats()
+        # repeated query: must be served from the store, zero new solves
+        solved_before_repeat = scheduler.metrics.columns_solved
+        _, (repeat,) = run_clients(scheduler, requests[:1])
+        result.update(
+            {
+                "service_s": service_s,
+                "throughput_speedup": baseline_s / service_s,
+                "service_status": [job.status for job in jobs],
+                "max_abs_diff_rel": max(
+                    rel_diff(job.result, ref, scale)
+                    for job, ref in zip(jobs, references, strict=True)
+                ),
+                "columns_solved": int(stats["coalescing"]["columns_solved"]),
+                "columns_from_store": int(stats["coalescing"]["columns_from_store"]),
+                "batches": int(stats["coalescing"]["batches"]),
+                "attributed_solves": int(scheduler.attributed_solves),
+                "latency_s": stats["latency_s"],
+                "solve_stats": stats["solve_stats"],
+                "result_store": stats["result_store"],
+                "repeat": {
+                    "status": repeat.status,
+                    "new_solves": int(scheduler.metrics.columns_solved - solved_before_repeat),
+                    "max_abs_diff_rel": rel_diff(repeat.result, references[0], scale),
+                },
+            }
         )
+
+    # --- HTTP round trip through the real server ----------------------------
+    with AsyncExtractionServer(coalesce_window_s=COALESCE_WINDOW_S) as server:
+        client = ServiceClient(server.url, timeout_s=600.0)
+        http_results = fan_out(
+            lambda request: client.extract(request, timeout_s=600.0), requests[:HTTP_CLIENTS]
+        )
+        http_stats = client.stats()
+        http = result["http"] = {
+            "clients": HTTP_CLIENTS,
+            "healthz_ok": bool(client.healthz()["ok"]),
+            "union_columns": len({c for cols in client_columns[:HTTP_CLIENTS] for c in cols}),
+            "columns_solved": int(http_stats["coalescing"]["columns_solved"]),
+            "batches": int(http_stats["coalescing"]["batches"]),
+            "max_abs_diff_rel": max(
+                rel_diff(got, ref, scale)
+                for got, ref in zip(http_results, references[:HTTP_CLIENTS], strict=True)
+            ),
+        }
+
+    gates.check(
+        "every service job completes",
+        n_side,
+        all(status == "done" for status in result["service_status"]),
+        f"statuses {result['service_status']}",
+    )
+    gates.check(
+        "service agrees with isolated per-request extraction",
+        n_side,
+        result["max_abs_diff_rel"] <= AGREEMENT_RTOL,
+        f"{result['max_abs_diff_rel']:.2e} rel",
+    )
     # attribution: exactly one black-box solve per distinct union column on
     # the service side, one per requested column per isolated client
-    if result["columns_solved"] != result["union_columns"]:
-        failures.append(
-            f"service solved {result['columns_solved']} columns for a "
-            f"{result['union_columns']}-column union {where}"
-        )
-    if result["attributed_solves"] != result["columns_solved"]:
-        failures.append(
-            f"attribution drift: {result['attributed_solves']} attributed vs "
-            f"{result['columns_solved']} solved columns {where}"
-        )
-    if any(c != result["columns_per_client"] for c in result["baseline_counts"]):
-        failures.append(
-            f"baseline attribution drift: {result['baseline_counts']} vs "
-            f"{result['columns_per_client']} columns per client {where}"
-        )
-    repeat = result["repeat"]
-    if repeat["status"] != "done" or repeat["new_solves"] != 0:
-        failures.append(
-            f"repeated query was not served from the result store "
-            f"(status={repeat['status']}, {repeat['new_solves']} new solves) {where}"
-        )
-    if repeat["max_abs_diff_rel"] > AGREEMENT_RTOL:
-        failures.append(
-            f"repeated query disagrees ({repeat['max_abs_diff_rel']:.2e} rel) {where}"
-        )
-    http = result.get("http")
-    if http is not None:
-        if not http["healthz_ok"]:
-            failures.append(f"healthz probe failed {where}")
-        if http["max_abs_diff_rel"] > AGREEMENT_RTOL:
-            failures.append(
-                f"HTTP results disagree ({http['max_abs_diff_rel']:.2e} rel) {where}"
-            )
-        if http["columns_solved"] > http["union_columns"]:
-            failures.append(
-                f"HTTP arm re-solved shared columns ({http['columns_solved']} "
-                f"solves for a {http['union_columns']}-column union) {where}"
-            )
+    gates.check(
+        "service solves each union column exactly once",
+        n_side,
+        result["columns_solved"] == result["attributed_solves"] == len(union),
+        f"{result['columns_solved']} solved, {result['attributed_solves']} attributed, "
+        f"{len(union)}-column union",
+    )
+    gates.check(
+        "each baseline client solves exactly its columns",
+        n_side,
+        all(c == columns_per_client for c in result["baseline_counts"]),
+        f"counts {result['baseline_counts']} vs {columns_per_client} columns per client",
+    )
+    rep = result["repeat"]
+    gates.check(
+        "repeated query is served from the result store",
+        n_side,
+        rep["status"] == "done"
+        and rep["new_solves"] == 0
+        and rep["max_abs_diff_rel"] <= AGREEMENT_RTOL,
+        f"status {rep['status']}, {rep['new_solves']} new solves, "
+        f"{rep['max_abs_diff_rel']:.2e} rel",
+    )
+    gates.check(
+        "HTTP arm is healthy and agrees",
+        n_side,
+        http["healthz_ok"] and http["max_abs_diff_rel"] <= AGREEMENT_RTOL,
+        f"healthz {http['healthz_ok']}, {http['max_abs_diff_rel']:.2e} rel",
+    )
+    gates.check(
+        "HTTP arm never re-solves a shared column",
+        n_side,
+        http["columns_solved"] <= http["union_columns"],
+        f"{http['columns_solved']} solves for a {http['union_columns']}-column union",
+    )
     # the speed gate needs real parallel hardware (a 1-CPU container measures
     # scheduling overhead, not throughput) and a baseline expensive enough
     # that fixed overheads cannot dominate the ratio
-    if (
-        result["cpu_count"] >= 2
-        and result["baseline_s"] >= MIN_GATED_BASELINE_S
-        and result["throughput_speedup"] < SPEEDUP_GATE
-    ):
-        failures.append(
-            f"service throughput {result['throughput_speedup']:.2f}x is below "
-            f"the {SPEEDUP_GATE:.0f}x gate at {result['n_clients']} clients {where}"
-        )
-    return failures
+    gates.check(
+        f"service >= {SPEEDUP_GATE:g}x one-solver-per-request throughput",
+        n_side,
+        result["throughput_speedup"] >= SPEEDUP_GATE,
+        f"{result['throughput_speedup']:.2f}x (baseline {baseline_s:.3f}s)",
+        armed=(os.cpu_count() or 1) >= 2 and baseline_s >= MIN_GATED_BASELINE_S,
+        timing=True,
+    )
+    return result
+
+
+def run(sizes: list[int]) -> bool:
+    gates = Gates()
+    results = [measure(s, gates) for s in sizes]
+    return emit(
+        "BENCH_service",
+        "service",
+        "extraction service (coalesced scheduler + result store + persistent warm "
+        f"engines) vs one-solver-per-request at {N_CLIENTS} concurrent clients on a "
+        f"shared substrate, plus a {HTTP_CLIENTS}-client HTTP round trip",
+        results,
+        gates,
+    )
 
 
 def test_bench_service():
-    for result in run(default_sizes()):
-        failures = check(result)
-        assert not failures, "; ".join(failures)
+    assert run(default_sizes())
 
 
 if __name__ == "__main__":
-    gate_main(run(default_sizes()), check)
+    sys.exit(0 if run(default_sizes()) else 1)

@@ -9,7 +9,7 @@ rows; the qualitative shape (example 3 much worse than 1a/2) must hold.
 
 import pytest
 
-from repro.experiments import paper_examples, run_wavelet_experiment
+from repro.experiments import paper_examples, run_wavelet_table
 
 from common import bench_n_side, format_report_row, write_result
 
@@ -22,7 +22,7 @@ def test_table_3_1_wavelet_sparsification(benchmark):
     examples["1b"].fd_planes_per_layer = (2, 5, 2)
 
     def run_all():
-        return {name: run_wavelet_experiment(cfg) for name, cfg in examples.items()}
+        return {name: run_wavelet_table(cfg) for name, cfg in examples.items()}
 
     results = benchmark.pedantic(run_all, iterations=1, rounds=1)
 

@@ -13,7 +13,7 @@ the representation is extracted with many fewer solves than contacts.
 
 import pytest
 
-from repro.experiments import chapter4_examples, run_lowrank_experiment
+from repro.experiments import chapter4_examples, run_lowrank_table
 
 from common import bench_n_side, format_report_row, write_result
 
@@ -25,7 +25,7 @@ def test_table_4_3_large_examples(benchmark):
     def run_all():
         out = {}
         for name in ("ch4-4", "ch4-5"):
-            out[name] = run_lowrank_experiment(
+            out[name] = run_lowrank_table(
                 configs[name], max_dense=1200, sample_columns=96
             )
         return out

@@ -1,38 +1,60 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper.  Results are
-printed and also written to ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md
-can reference them.  The problem scale defaults to 16 contacts per side
-(256 contacts); set ``REPRO_BENCH_NSIDE=32`` to run at the paper's scale.
+Every benchmark regenerates one table or figure of the paper, or measures one
+layer of the serving stack.  The problem scale defaults to 16 contacts per
+side (256 contacts); set ``REPRO_BENCH_NSIDE=32`` to run at the paper's scale.
+Table and figure reproductions print their table and write it to
+``benchmarks/results/<name>.txt``.
 
-The perf benchmarks (batched extraction, dispatch, parallel extraction) share
-one workflow, centralised here: reference runs (no ``REPRO_BENCH_NSIDE``)
+The perf benchmarks (``bench_batched_extraction`` ... ``bench_cluster``) share
+one workflow, centralised here.  Reference runs (no ``REPRO_BENCH_NSIDE``)
 sweep the paper pair {16, 32} and write the tracked
-``benchmarks/results/BENCH_*.json`` + ``*.txt`` artefacts (one copy each);
-env-overridden smoke runs write gitignored ``*_smoke`` siblings so they can
-never clobber a committed reference record.  Every perf-benchmark JSON record
-also carries the process-wide factor-cache hit/miss counters.
+``benchmarks/results/BENCH_*.json`` record; env-overridden smoke runs write a
+gitignored ``*_smoke.json`` sibling so they can never clobber a committed
+reference record.  Every record has one envelope (see :func:`emit`), and
+every gate goes through :class:`Gates`: a timing gate is armed only from
+``n_side=16`` up, because smaller problems finish in a few milliseconds and
+their timings are noise.  A script exits non-zero if and only if an armed
+gate failed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import platform
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).parent.parent
 
+# standalone bench scripts run without PYTHONPATH=src
+if str(REPO_ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+
+import numpy as np
+import scipy
+
+from repro.geometry.layouts import regular_grid
+from repro.service import JobRequest, Scheduler
+from repro.substrate.factor_cache import factor_cache_info
+from repro.substrate.parallel import SolverSpec
+from repro.substrate.profile import SubstrateProfile
+
 #: the paper's reference scales swept when no env override is given
 REFERENCE_SIZES = (16, 32)
-
-
-def ensure_repro_importable() -> None:
-    """Put ``<repo>/src`` on ``sys.path`` (standalone benchmark scripts)."""
-    src = str(REPO_ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
+#: smallest n_side whose timings are armed as gates
+MIN_TIMED_NSIDE = 16
+#: side of the square substrate every perf benchmark uses
+BOX_SIZE = 128.0
+#: solver tolerance of every perf benchmark's substrate
+SOLVER_RTOL = 1e-8
+#: panel budget of the eigenfunction solver
+MAX_PANELS = 256
 
 
 def bench_n_side(default: int = 16) -> int:
@@ -65,36 +87,163 @@ def is_reference_run() -> bool:
     return "REPRO_BENCH_NSIDE" not in os.environ
 
 
-def factor_cache_record() -> dict:
-    """Process-wide factor-cache counters for inclusion in JSON records."""
-    from repro.substrate.factor_cache import factor_cache_info
+# ------------------------------------------------------------------ fixtures
+def solver_spec(
+    n_side: int,
+    backend: str = "bem",
+    backplane: str = "grounded",
+    fill: float = 0.5,
+    **options,
+) -> SolverSpec:
+    """A regular contact grid on the paper's two-layer substrate, as a spec.
 
-    return factor_cache_info()
-
-
-def emit_benchmark(json_base: str, payload: dict, txt_base: str, lines: list[str]) -> None:
-    """Write one perf benchmark's JSON + text artefacts.
-
-    Reference runs write ``<json_base>.json`` and ``<txt_base>.txt`` under
-    ``benchmarks/results/``; smoke runs write the gitignored ``*_smoke`` siblings.
-    The factor-cache hit/miss counters are stamped into the payload.
+    ``backplane`` is ``"grounded"`` or ``"floating"``.  ``bem`` is the
+    eigenfunction solver; ``fd`` the finite-difference one on a grid twice
+    as fine as the contacts (at least 16 cells a side).
     """
-    payload.setdefault("factor_cache", factor_cache_record())
-    reference = is_reference_run()
-    suffix = "" if reference else "_smoke"
-    write_json(json_base + suffix, payload)
-    write_result(txt_base + suffix, lines)
+    layout = regular_grid(n_side=n_side, size=BOX_SIZE, fill=fill)
+    if backplane == "grounded":
+        profile = SubstrateProfile.two_layer_example(size=BOX_SIZE, resistive_bottom=True)
+    else:
+        profile = SubstrateProfile.two_layer_example(size=BOX_SIZE, grounded_backplane=False)
+    if backend == "bem":
+        return SolverSpec.bem(
+            layout, profile, max_panels=MAX_PANELS, rtol=SOLVER_RTOL, **options
+        )
+    resolution = max(16, 2 * n_side)
+    return SolverSpec.fd(
+        layout,
+        profile,
+        nx=resolution,
+        ny=resolution,
+        planes_per_layer=3,
+        rtol=SOLVER_RTOL,
+        **options,
+    )
 
 
-def gate_main(results: list[dict], check) -> None:
-    """Standalone-script exit protocol: collect gate failures, exit non-zero."""
-    failures: list[str] = []
-    for result in results:
-        failures.extend(check(result))
-    if failures:
-        raise SystemExit("\n".join(failures))
+def timed(fn, *args):
+    """``(wall seconds, fn(*args))``."""
+    start = time.perf_counter()
+    value = fn(*args)
+    return time.perf_counter() - start, value
 
 
+def min_of(repeats: int, trial):
+    """Best wall time over ``repeats`` calls of ``trial() -> (seconds, value)``.
+
+    Returns ``(best seconds, value of the last call)``; the minimum
+    suppresses scheduler noise.
+    """
+    best, value = math.inf, None
+    for _ in range(max(1, repeats)):
+        elapsed, value = trial()
+        best = min(best, elapsed)
+    return best, value
+
+
+def rel_diff(got, reference, scale: float | None = None) -> float:
+    """``max|got - reference| / scale`` (default scale ``max|reference|``).
+
+    A missing result (``None``) never agrees: it counts as ``inf``.
+    """
+    if got is None:
+        return math.inf
+    reference = np.asarray(reference)
+    if scale is None:
+        scale = max(float(np.abs(reference).max()), 1e-300)
+    return float(np.abs(np.asarray(got) - reference).max() / scale)
+
+
+def fan_out(fn, items: list) -> list:
+    """``[fn(item) for item in items]``, each call on its own thread."""
+    with ThreadPoolExecutor(max_workers=len(items)) as pool:
+        return list(pool.map(fn, items))
+
+
+def run_clients(scheduler: Scheduler, requests: list[JobRequest], wait_s: float = 600.0):
+    """Submit each request from its own client thread and wait for it.
+
+    Returns ``(wall seconds, terminal jobs)``; each job carries ``status``,
+    ``result`` and ``attempts``.
+    """
+
+    def one(request: JobRequest):
+        return scheduler.result(scheduler.submit(request), wait_s=wait_s)
+
+    return timed(fan_out, one, requests)
+
+
+# --------------------------------------------------------------------- gates
+class Gates:
+    """Every gate of one benchmark run, in the order they were checked.
+
+    ``armed`` carries a gate's own arming condition (CPU count, a measurable
+    baseline, ...); ``timing=True`` additionally disarms it below
+    :data:`MIN_TIMED_NSIDE`.  A disarmed gate is still evaluated and
+    recorded, so its value stays visible in the record.
+    """
+
+    def __init__(self) -> None:
+        self.entries: list[dict] = []
+
+    def check(
+        self,
+        name: str,
+        n_side: int,
+        passed: bool,
+        detail: str,
+        *,
+        armed: bool = True,
+        timing: bool = False,
+    ) -> None:
+        self.entries.append(
+            {
+                "name": name,
+                "n_side": int(n_side),
+                "armed": bool(armed) and (not timing or n_side >= MIN_TIMED_NSIDE),
+                "passed": bool(passed),
+                "detail": detail,
+            }
+        )
+
+
+def emit(name: str, benchmark: str, description: str, results: list, gates: Gates) -> bool:
+    """Write one perf benchmark's record; True when every armed gate passed.
+
+    The record is ``{benchmark, description, env, factor_cache, results,
+    gates}``.  Reference runs write ``benchmarks/results/<name>.json``, smoke
+    runs the gitignored ``<name>_smoke.json``.  The JSON is also printed, and
+    each failed armed gate is reported on stderr.
+    """
+    record = {
+        "benchmark": benchmark,
+        "description": description,
+        "env": {
+            "cpu_count": int(os.cpu_count() or 1),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+        "factor_cache": factor_cache_info(),
+        "results": results,
+        "gates": gates.entries,
+    }
+    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    RESULTS_DIR.mkdir(exist_ok=True)
+    suffix = "" if is_reference_run() else "_smoke"
+    (RESULTS_DIR / f"{name}{suffix}.json").write_text(text)
+    print(text)
+    failed = [g for g in gates.entries if g["armed"] and not g["passed"]]
+    for gate in failed:
+        print(
+            f"GATE FAILED at n_side={gate['n_side']}: {gate['name']} ({gate['detail']})",
+            file=sys.stderr,
+        )
+    return not failed
+
+
+# ---------------------------------------------------------- table / figures
 def write_result(name: str, lines: list[str]) -> str:
     """Print a result table and persist it under benchmarks/results/."""
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -102,17 +251,6 @@ def write_result(name: str, lines: list[str]) -> str:
     (RESULTS_DIR / f"{name}.txt").write_text(text)
     print("\n" + text)
     return text
-
-
-def write_json(name: str, payload: dict) -> Path:
-    """Persist a machine-readable benchmark result as
-    ``benchmarks/results/<name>.json``; returns that path."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(text)
-    print(text)
-    return path
 
 
 def format_report_row(label: str, report) -> str:

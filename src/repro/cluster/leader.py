@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from ..faults import fault_hook
 from ..service.aserver import AsyncExtractionServer
+from ..service.client import request_json
 from ..service.jobs import SCHEMA_VERSION, JobRequest
 from ..service.scheduler import Scheduler
 from ..service.wire import (
@@ -53,7 +54,6 @@ from ..service.wire import (
 from .protocol import (
     completion_from_wire,
     heartbeat_from_wire,
-    post_json,
     register_from_wire,
 )
 from .registry import HostRegistry
@@ -152,7 +152,8 @@ class ClusterLeader:
         self.rpc_calls += 1
         try:
             fault_hook("rpc.send", worker_id=host.worker_id)
-            answer = post_json(
+            answer = request_json(
+                "POST",
                 host.url + "/v1/cluster/solve",
                 request_to_wire(request),
                 timeout_s=self.rpc_timeout_s,

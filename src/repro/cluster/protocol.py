@@ -23,21 +23,16 @@ completion    ``{"schema_version", "worker_id", "job_id", "columns",
               ``/v1/cluster/solve``
 ============  ==============================================================
 
-The module also owns both ends of the solve RPC: :func:`serve_solve` is the
-worker-side route handler (wire request in, completion out — behind it sits
-an ordinary single-host :class:`~repro.service.scheduler.Scheduler`), and
-:func:`post_json` is the shared HTTP client used by the leader's RPCs and
-the worker's heartbeats (bearer token attached, envelopes decoded to typed
-exceptions; transport-level failures surface as ``OSError``/``URLError``
-for the caller's dead-host logic).
+The module also owns the worker side of the solve RPC: :func:`serve_solve`
+is the route handler (wire request in, completion out — behind it sits an
+ordinary single-host :class:`~repro.service.scheduler.Scheduler`).  The
+leader's RPCs and the worker's registration and heartbeats travel through
+:func:`repro.service.client.request_json`, the service's one HTTP transport.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any
-from urllib.error import HTTPError
-from urllib.request import Request, urlopen
 
 import numpy as np
 
@@ -50,7 +45,6 @@ from ..service.wire import (
     decode_array,
     encode_array,
     error_envelope,
-    raise_for_envelope,
     request_from_wire,
 )
 
@@ -62,7 +56,6 @@ __all__ = [
     "completion_doc",
     "completion_from_wire",
     "serve_solve",
-    "post_json",
 ]
 
 
@@ -239,37 +232,3 @@ def serve_solve(
         completion_doc(worker_id, job_id, request.columns, job.result, attributed),
         {},
     )
-
-
-# ------------------------------------------------------------------ transport
-def post_json(
-    url: str,
-    doc: dict,
-    timeout_s: float = 30.0,
-    auth_token: str | None = None,
-) -> dict:
-    """POST one JSON document; returns the parsed JSON answer.
-
-    HTTP error answers decode through
-    :func:`~repro.service.wire.raise_for_envelope` into the same typed
-    exceptions the :class:`~repro.service.client.ServiceClient` raises.
-    Transport failures (refused connection, reset, timeout) propagate as
-    ``OSError``/``URLError`` — the leader treats those, and only those, as
-    evidence the host is dead.
-    """
-    body = json.dumps(doc).encode()
-    headers = {"Content-Type": "application/json"}
-    if auth_token:
-        headers["Authorization"] = f"Bearer {auth_token}"
-    request = Request(url, data=body, method="POST", headers=headers)
-    try:
-        with urlopen(request, timeout=timeout_s) as response:
-            return json.loads(response.read())
-    except HTTPError as exc:
-        payload = exc.read()
-        try:
-            error_doc: Any = json.loads(payload)
-        except ValueError:
-            error_doc = payload.decode("utf-8", errors="replace") or f"HTTP {exc.code}"
-        raise_for_envelope(exc.code, error_doc)
-        raise  # pragma: no cover - raise_for_envelope always raises

@@ -32,8 +32,9 @@ import uuid
 
 from ..faults import fault_hook
 from ..service.aserver import AsyncExtractionServer
+from ..service.client import request_json
 from ..service.scheduler import Scheduler
-from .protocol import heartbeat_doc, post_json, register_doc, serve_solve
+from .protocol import heartbeat_doc, register_doc, serve_solve
 
 __all__ = ["ClusterWorker"]
 
@@ -140,7 +141,8 @@ class ClusterWorker:
             if self._stop.is_set():
                 return
             try:
-                post_json(
+                request_json(
+                    "POST",
                     self.leader_url + "/v1/cluster/register",
                     register_doc(self.worker_id, self.url),
                     timeout_s=10.0,
@@ -157,7 +159,8 @@ class ClusterWorker:
 
     def _send_heartbeat(self) -> None:
         """One heartbeat round trip; re-registers when the leader forgot us."""
-        answer = post_json(
+        answer = request_json(
+            "POST",
             self.leader_url + "/v1/cluster/heartbeat",
             heartbeat_doc(self.worker_id, self.scheduler, draining=self.draining),
             timeout_s=10.0,

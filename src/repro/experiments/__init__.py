@@ -3,18 +3,11 @@
 from .examples import ExampleConfig, chapter4_examples, get_example, paper_examples
 from .runner import (
     SparsificationResult,
-    run_batched_extraction_experiment,
-    run_dispatch_experiment,
-    run_durable_experiment,
-    run_factor_plane_experiment,
-    run_faults_experiment,
-    run_lowrank_experiment,
+    run_lowrank_table,
     run_method_comparison,
-    run_parallel_extraction_experiment,
     run_preconditioner_table,
-    run_service_experiment,
     run_solver_speed_table,
-    run_wavelet_experiment,
+    run_wavelet_table,
     singular_value_decay_experiment,
 )
 
@@ -24,17 +17,10 @@ __all__ = [
     "chapter4_examples",
     "get_example",
     "SparsificationResult",
-    "run_wavelet_experiment",
-    "run_lowrank_experiment",
+    "run_wavelet_table",
+    "run_lowrank_table",
     "run_method_comparison",
     "run_preconditioner_table",
     "run_solver_speed_table",
-    "run_batched_extraction_experiment",
-    "run_dispatch_experiment",
-    "run_durable_experiment",
-    "run_factor_plane_experiment",
-    "run_faults_experiment",
-    "run_parallel_extraction_experiment",
-    "run_service_experiment",
     "singular_value_decay_experiment",
 ]

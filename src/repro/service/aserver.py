@@ -56,6 +56,7 @@ import numpy as np
 from .jobs import SCHEMA_VERSION, JobExpiredError, JobRequest, JobState
 from .scheduler import QueueSaturatedError, Scheduler
 from .wire import (
+    BadRequestError,
     WireFormatError,
     encode_array,
     error_envelope,
@@ -311,7 +312,11 @@ class AsyncExtractionServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except BadRequestError as exc:
+                await self._send_error(writer, 400, "bad_request", str(exc))
+                return
             if request is not None:
                 await self._dispatch(request, writer)
         except (ConnectionError, asyncio.TimeoutError):
@@ -324,7 +329,12 @@ class AsyncExtractionServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        """One parsed request: ``(method, path, query, headers, body)``."""
+        """One parsed request: ``(method, path, query, headers, body)``.
+
+        ``None`` when the peer sent no complete request (it is gone, so
+        nothing is answered); :class:`BadRequestError` when the head is
+        readable but its ``Content-Length`` is not a non-negative integer.
+        """
         try:
             head = await asyncio.wait_for(
                 reader.readuntil(b"\r\n\r\n"), timeout=30.0
@@ -342,8 +352,13 @@ class AsyncExtractionServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length") or 0)
-        body = await reader.readexactly(length) if length else b""
+        length = headers.get("content-length") or "0"
+        if not length.isdecimal():
+            raise BadRequestError(f"Content-Length {length!r} is not a non-negative integer")
+        try:
+            body = await reader.readexactly(int(length))
+        except asyncio.IncompleteReadError:
+            return None  # the body ended before its declared length
         url = urlparse(target)
         return method.upper(), url.path, parse_qs(url.query), headers, body
 

@@ -44,7 +44,7 @@ from .wire import (
     spec_to_wire,
 )
 
-__all__ = ["ServiceClient"]
+__all__ = ["ServiceClient", "request_json"]
 
 #: wire-array fields of a job snapshot the client decodes back to ndarrays
 _SNAPSHOT_ARRAYS = ("result", "pair_values")
@@ -56,6 +56,48 @@ def _decode_snapshot(snapshot: dict) -> dict:
         if isinstance(value, dict):
             snapshot[key] = decode_array(value)
     return snapshot
+
+
+def _open(method: str, url: str, doc: dict | None, timeout_s: float, auth_token: str | None):
+    """Send one request with an optional JSON body; the open response.
+
+    An HTTP error answer is decoded into its typed exception.
+    """
+    body = json.dumps(doc).encode() if doc is not None else None
+    headers = {"Content-Type": "application/json"} if body is not None else {}
+    if auth_token:
+        headers["Authorization"] = f"Bearer {auth_token}"
+    request = Request(url, data=body, method=method, headers=headers)
+    try:
+        return urlopen(request, timeout=timeout_s)
+    except HTTPError as exc:
+        payload = exc.read()
+        try:
+            error_doc: Any = json.loads(payload)
+        except ValueError:
+            error_doc = payload.decode("utf-8", errors="replace") or f"HTTP {exc.code}"
+        raise_for_envelope(exc.code, error_doc)
+        raise  # pragma: no cover - raise_for_envelope always raises
+
+
+def request_json(
+    method: str,
+    url: str,
+    doc: dict | None = None,
+    timeout_s: float = 30.0,
+    auth_token: str | None = None,
+) -> dict:
+    """One JSON request/response round trip; returns the parsed answer.
+
+    The HTTP transport of :class:`ServiceClient` and of the cluster's RPCs.
+    ``auth_token`` is sent as ``Authorization: Bearer <token>``.  HTTP error
+    answers decode through :func:`~repro.service.wire.raise_for_envelope`
+    into typed exceptions.  Transport failures (refused connection, reset,
+    timeout) propagate as ``OSError``/``URLError`` — the cluster leader
+    treats those, and only those, as evidence the host is dead.
+    """
+    with _open(method, url, doc, timeout_s, auth_token) as response:
+        return json.loads(response.read())
 
 
 class ServiceClient:
@@ -109,14 +151,6 @@ class ServiceClient:
         self.close()
 
     # ------------------------------------------------------------------ http
-    def _headers(self, has_body: bool) -> dict[str, str]:
-        headers: dict[str, str] = {}
-        if has_body:
-            headers["Content-Type"] = "application/json"
-        if self.auth_token:
-            headers["Authorization"] = f"Bearer {self.auth_token}"
-        return headers
-
     def _request_once(
         self,
         method: str,
@@ -126,25 +160,8 @@ class ServiceClient:
     ) -> dict:
         if self._closed:
             raise RuntimeError("client is closed")
-        body = json.dumps(doc).encode() if doc is not None else None
-        request = Request(
-            self.url + path,
-            data=body,
-            method=method,
-            headers=self._headers(body is not None),
-        )
         timeout = timeout_s if timeout_s is not None else self.timeout_s
-        try:
-            with urlopen(request, timeout=timeout) as response:
-                return json.loads(response.read())
-        except HTTPError as exc:
-            payload = exc.read()
-            try:
-                error_doc: Any = json.loads(payload)
-            except ValueError:
-                error_doc = payload.decode("utf-8", errors="replace") or f"HTTP {exc.code}"
-            raise_for_envelope(exc.code, error_doc)
-            raise  # pragma: no cover - raise_for_envelope always raises
+        return request_json(method, self.url + path, doc, timeout, self.auth_token)
 
     def _request(
         self,
@@ -253,25 +270,13 @@ class ServiceClient:
         if isinstance(requests, JobRequest):
             requests = [requests]
         docs = [request_to_wire(r) for r in requests]
-        body = json.dumps({"schema_version": SCHEMA_VERSION, "requests": docs}).encode()
-        http_request = Request(
+        response = _open(
+            "POST",
             self.url + "/v1/stream",
-            data=body,
-            method="POST",
-            headers=self._headers(True),
+            {"schema_version": SCHEMA_VERSION, "requests": docs},
+            timeout_s if timeout_s is not None else self.timeout_s,
+            self.auth_token,
         )
-        try:
-            response = urlopen(
-                http_request, timeout=timeout_s if timeout_s is not None else self.timeout_s
-            )
-        except HTTPError as exc:
-            payload = exc.read()
-            try:
-                error_doc: Any = json.loads(payload)
-            except ValueError:
-                error_doc = payload.decode("utf-8", errors="replace") or f"HTTP {exc.code}"
-            raise_for_envelope(exc.code, error_doc)
-            raise  # pragma: no cover - raise_for_envelope always raises
 
         def events() -> Iterator[dict]:
             with response:

@@ -375,12 +375,10 @@ def test_cluster_auth_guards_public_and_rpc_surfaces(spec_a):
                 # the health probe stays open for load balancers
                 assert anonymous.healthz()["ok"] is True
             # wrong token on the worker's RPC surface: 401 too
-            from repro.cluster.protocol import post_json
+            from repro.service.client import request_json
 
             with pytest.raises(UnauthorizedError):
-                post_json(
-                    worker.url + "/v1/cluster/solve", {}, auth_token="wrong"
-                )
+                request_json("POST", worker.url + "/v1/cluster/solve", {}, auth_token="wrong")
             # authenticated end to end
             with ServiceClient(leader.url, auth_token="hunter2") as client:
                 block = client.extract(JobRequest(spec_a, columns=(0,)))

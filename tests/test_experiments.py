@@ -7,7 +7,7 @@ from repro.experiments import (
     get_example,
     paper_examples,
     run_solver_speed_table,
-    run_wavelet_experiment,
+    run_wavelet_table,
 )
 
 
@@ -49,7 +49,7 @@ class TestRunners:
     def test_wavelet_runner_produces_reports(self):
         config = get_example("1a", n_side=8)
         config.max_panels = 64
-        result = run_wavelet_experiment(config)
+        result = run_wavelet_table(config)
         rows = result.rows()
         assert len(rows) == 2
         assert rows[0]["thresholded"] is False and rows[1]["thresholded"] is True

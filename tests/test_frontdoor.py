@@ -11,9 +11,11 @@ pickle-era paths are gone, and every error body is the one envelope.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
+from urllib.parse import urlparse
 
 import numpy as np
 import pytest
@@ -353,6 +355,36 @@ def test_bad_json_body_is_a_bad_request_envelope(dense_spec):
                 urllib.request.urlopen(req, timeout=10.0)
             assert err.value.code == 400
             assert json.loads(err.value.read())["error"]["code"] == "bad_request"
+
+
+def test_malformed_content_length_is_answered_not_dropped(caplog):
+    """A non-numeric or negative ``Content-Length`` answers the 400 envelope,
+    and a body shorter than its declared length closes quietly; neither
+    escapes the connection handler."""
+
+    def raw_exchange(url: str, request: bytes) -> bytes:
+        address = urlparse(url)
+        with socket.create_connection((address.hostname, address.port), timeout=10.0) as sock:
+            sock.sendall(request)
+            sock.shutdown(socket.SHUT_WR)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    with AsyncExtractionServer(n_workers=1) as server:
+        for length in (b"abc", b"-5"):
+            answer = raw_exchange(
+                server.url, b"POST /v1/jobs HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n"
+            )
+            head, _, body = answer.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400")
+            assert json.loads(body)["error"]["code"] == "bad_request"
+        truncated = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}"
+        assert raw_exchange(server.url, truncated) == b""
+        with ServiceClient(server.url, timeout_s=10.0) as client:
+            assert client.healthz()["ok"] is True
+    assert not [r for r in caplog.records if "Unhandled exception" in r.getMessage()]
 
 
 def test_impossible_array_shape_is_a_bad_request_envelope(dense_spec):
