@@ -1,16 +1,12 @@
-"""Shared-memory factor plane and tiled out-of-core direct engine.
+"""Shared-memory factor plane: worker attach vs per-worker refactor.
 
 For each backend (eigenfunction / finite-difference) and backplane (grounded /
 floating) this benchmark times full dense extraction through a
 ``ParallelExtractor`` whose workers **attach** to the parent's factor via the
 shared-memory factor plane (``share_factors=True``) against one whose workers
 each **rebuild** their own factor, recording pool warm-up time both ways and
-the per-worker attach/rebuild counters of the merged ``SolveStats``.  For the
-eigenfunction backend it also runs the same extraction with
-``max_direct_panels`` capped below the contact-panel count so the dispatch
-policy must route through the **tiled** out-of-core Cholesky engine, compared
-against the in-core direct path.  It emits ``BENCH_factor_plane.json`` (under
-``benchmarks/results/``).
+the per-worker attach/rebuild counters of the merged ``SolveStats``.  It
+emits ``BENCH_factor_plane.json`` (under ``benchmarks/results/``).
 
 Hard gates (every scale, including the CI smoke run):
 
@@ -18,9 +14,7 @@ Hard gates (every scale, including the CI smoke run):
   attributed solve counts;
 * on the shared plane every worker attaches and **zero** workers refactor
   (``n_factor_attaches == n_workers``, ``n_factor_rebuilds == 0``), while the
-  rebuild configuration must show zero attaches;
-* the tiled path is actually chosen above the capped ``max_direct_panels``
-  and extracts an identical ``G`` (1e-10).
+  rebuild configuration must show zero attaches.
 
 Run directly (``REPRO_BENCH_NSIDE=8 REPRO_BENCH_WORKERS=2`` for a CI smoke
 run)::
@@ -52,13 +46,12 @@ from common import (
 
 from repro.substrate import CountingSolver, extract_dense
 from repro.substrate.bem.solver import BEM_FACTOR_KIND
-from repro.substrate.dispatch import DispatchPolicy
 from repro.substrate.factor_cache import factor_cache_clear
 from repro.substrate.fd.direct import FD_FACTOR_KIND
 from repro.substrate.parallel import ParallelExtractor, SolverSpec
 from repro.substrate.solver_base import SolveStats
 
-#: agreement bound: neither the plane nor the tiled engine may change G
+#: agreement bound: the plane may not change G
 AGREEMENT_RTOL = 1e-10
 
 
@@ -159,51 +152,6 @@ def measure(n_side, backend, backplane, workers, gates: Gates) -> dict:
             f"{rebuild['n_factor_attaches']} attaches, {rebuild['n_factor_rebuilds']} rebuilds",
         )
 
-    # --- tiled out-of-core engine (eigenfunction backend only) -------------
-    if backend == "bem":
-        serial_solver = serial_counting.inner
-        ncp = serial_solver.grid.n_contact_panels
-        cap = max(1, ncp // 2)
-        # force the tiled engine (the gate is that it extracts an identical G
-        # above max_direct_panels); what the *adaptive* crossover would have
-        # picked is recorded alongside — which side of the crossover a given
-        # size lands on is a property of the cost model and the machine, not
-        # a correctness gate
-        tiled_solver = spec.build(
-            use_factor_cache=False,
-            dispatch=DispatchPolicy(max_direct_panels=cap, force_path="tiled"),
-        )
-        tiled_s, g_tiled = timed(extract_dense, tiled_solver)
-        tf = tiled_solver._tiled_factor
-        adaptive = DispatchPolicy(max_direct_panels=cap).choose(
-            n_panels=ncp,
-            n_rhs=spec.layout.n_contacts,
-            grid_points=serial_solver.grid.n_panels,
-            grounded=serial_solver.profile.grounded_backplane,
-        )
-        tiled = result["tiled"] = {
-            "n_contact_panels": int(ncp),
-            "max_direct_panels": int(cap),
-            "path": tiled_solver.last_dispatch.path,
-            "adaptive_path": adaptive.path,
-            "tiled_s": tiled_s,
-            "direct_s": t_serial,
-            "max_abs_diff_rel": rel_diff(g_tiled, g_serial),
-            "spilled": bool(tf[1].spilled) if tf is not None else None,
-        }
-        tiled_solver.close_tiled()
-        gates.check(
-            f"{where}: dispatch above max_direct_panels takes the tiled path",
-            n_side,
-            tiled["path"] == "tiled",
-            f"path {tiled['path']!r}",
-        )
-        gates.check(
-            f"{where}: tiled agrees with in-core direct",
-            n_side,
-            tiled["max_abs_diff_rel"] <= AGREEMENT_RTOL,
-            f"{tiled['max_abs_diff_rel']:.2e} rel",
-        )
     return result
 
 
@@ -219,9 +167,9 @@ def run(sizes: list[int]) -> bool:
     return emit(
         "BENCH_factor_plane",
         "factor_plane",
-        "shared-memory factor plane (worker attach vs per-worker refactor) and "
-        "tiled out-of-core direct engine vs the in-core direct path; eigenfunction "
-        "and finite-difference backends, grounded and floating backplanes",
+        "shared-memory factor plane (worker attach vs per-worker refactor); "
+        "eigenfunction and finite-difference backends, grounded and floating "
+        "backplanes",
         results,
         gates,
     )

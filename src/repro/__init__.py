@@ -34,7 +34,6 @@ from .substrate import (
     SolverSpec,
     SubstrateProfile,
     SubstrateSolver,
-    TiledCholeskyFactor,
     attach_shared_factor,
     check_conductance_properties,
     extract_columns,
@@ -81,7 +80,6 @@ __all__ = [
     "SharedFactorHandle",
     "SharedSparseLU",
     "attach_shared_factor",
-    "TiledCholeskyFactor",
     "factor_cache",
     "factor_cache_clear",
     "factor_cache_info",

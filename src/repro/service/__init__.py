@@ -1,7 +1,7 @@
 """Long-running extraction service: scheduler, result store, HTTP front end.
 
 The engines of PRs 1-4 (batched ``solve_many``, adaptive dispatch, the
-factor cache/plane, process-parallel extraction, the tiled direct path) made
+factor cache/plane, process-parallel extraction) made
 a *single* extraction fast; this package amortises work **across requests**.
 A persistent :class:`~repro.service.scheduler.Scheduler` owns the expensive
 state — warm :class:`~repro.substrate.parallel.ParallelExtractor` engines

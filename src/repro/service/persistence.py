@@ -23,9 +23,6 @@ object rooted at a state directory:
     acknowledges, marked terminal on finalize, and replayed on startup, so
     a crash mid-drain loses no accepted work (the gridworks idiom: persist
     every event before acting on it).
-``tiled_scratch/``
-    default spill directory for out-of-core tiled factors, so their scratch
-    shares the state volume (``REPRO_TILED_SCRATCH_DIR`` still overrides).
 
 The default remains in-memory: a scheduler constructed without a
 persistence object (or a server without ``--state-dir``) behaves exactly as
@@ -47,7 +44,6 @@ import numpy as np
 
 from ..faults import fault_hook
 from ..substrate.factor_cache import FactorArtifactStore
-from ..substrate.tiled import set_default_scratch_dir, tiled_scratch_dir
 from .jobs import JobRequest
 from .result_store import fingerprint_digest as _fingerprint_digest
 from .wire import request_from_wire
@@ -346,8 +342,7 @@ class ServicePersistence:
     Construct with a directory path (created on demand) and hand the object
     to :class:`~repro.service.scheduler.Scheduler` (or let the scheduler
     build one from a path).  Owns lifecycle: :meth:`close` releases the
-    sqlite connection and the journal handle, and restores the tiled
-    scratch default if this object set it.
+    sqlite connection and the journal handle.
     """
 
     def __init__(self, state_dir: str | os.PathLike) -> None:
@@ -356,9 +351,6 @@ class ServicePersistence:
         self.results = SqliteResultBackend(self.state_dir / "results.sqlite")
         self.artifacts = FactorArtifactStore(self.state_dir / "artifacts")
         self.journal = JobJournal(self.state_dir / "journal.jsonl")
-        self._scratch_dir = str(self.state_dir / "tiled_scratch")
-        if not os.environ.get("REPRO_TILED_SCRATCH_DIR"):
-            set_default_scratch_dir(self._scratch_dir)
         self._closed = False
 
     def writable(self) -> bool:
@@ -386,8 +378,6 @@ class ServicePersistence:
         self._closed = True
         self.results.close()
         self.journal.close()
-        if tiled_scratch_dir() == self._scratch_dir:
-            set_default_scratch_dir(None)
 
     def __enter__(self) -> "ServicePersistence":
         return self

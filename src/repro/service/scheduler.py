@@ -217,15 +217,11 @@ class ExtractorPool:
         self,
         n_workers: int | None = None,
         max_solvers: int = 4,
-        share_factors: bool = True,
-        prepare_tiled: bool = False,
     ) -> None:
         if max_solvers < 1:
             raise ValueError("max_solvers must be at least 1")
         self.n_workers = n_workers
         self.max_solvers = int(max_solvers)
-        self.share_factors = bool(share_factors)
-        self.prepare_tiled = bool(prepare_tiled)
         # reprolint: guarded-by(_lock)
         self._engines: "OrderedDict[tuple, ParallelExtractor]" = OrderedDict()
         self._lock = threading.RLock()
@@ -246,13 +242,7 @@ class ExtractorPool:
                 self._engines.move_to_end(fingerprint)
                 return engine
         fault_hook("factor.build", kind=spec.kind)
-        built = ParallelExtractor(
-            spec,
-            n_workers=self.n_workers,
-            prepare_direct=True,
-            share_factors=self.share_factors,
-            prepare_tiled=self.prepare_tiled,
-        )
+        built = ParallelExtractor(spec, n_workers=self.n_workers, prepare_direct=True)
         built.warm_up()
         victims = []
         with self._lock:
@@ -312,8 +302,6 @@ class Scheduler:
     autostart:
         Start the background dispatcher thread.  ``False`` leaves the queue
         untouched until :meth:`step` is called (deterministic tests).
-    share_factors / prepare_tiled:
-        Forwarded to each engine (factor plane publication, tiled warm-up).
     max_jobs_retained / max_result_bytes_retained:
         Finished jobs kept for late :meth:`result` pickup; the oldest
         terminal jobs are dropped once either the job count or the total
@@ -372,8 +360,6 @@ class Scheduler:
         max_solvers: int = 4,
         coalesce_window_s: float = 0.0,
         autostart: bool = True,
-        share_factors: bool = True,
-        prepare_tiled: bool = False,
         max_jobs_retained: int = 10_000,
         max_result_bytes_retained: int = 256 * 1024 * 1024,
         persistence: "ServicePersistence | str | os.PathLike | None" = None,
@@ -403,12 +389,7 @@ class Scheduler:
                 raise
         self.store = store if store is not None else ResultStore()
         self.metrics = ServiceMetrics()
-        self.pool = ExtractorPool(
-            n_workers=n_workers,
-            max_solvers=max_solvers,
-            share_factors=share_factors,
-            prepare_tiled=prepare_tiled,
-        )
+        self.pool = ExtractorPool(n_workers=n_workers, max_solvers=max_solvers)
         self.coalesce_window_s = float(coalesce_window_s)
         self.max_jobs_retained = int(max_jobs_retained)
         self.max_result_bytes_retained = int(max_result_bytes_retained)

@@ -23,7 +23,6 @@ from .factor_cache import (
     set_factor_cache_budget,
 )
 from .parallel import ParallelExtractor, SolverSpec, solve_in_subprocess
-from .tiled import TiledCholeskyFactor
 from .profile import Layer, SubstrateProfile
 from .solver_base import (
     CallableSolver,
@@ -60,5 +59,4 @@ __all__ = [
     "ParallelExtractor",
     "SolverSpec",
     "solve_in_subprocess",
-    "TiledCholeskyFactor",
 ]

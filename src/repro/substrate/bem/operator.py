@@ -225,32 +225,28 @@ class SurfaceOperator:
             e[k] = 0.0
         return out
 
-    def contact_block_rows(
-        self, row_start: int, row_stop: int, max_batch: int = 256
-    ) -> np.ndarray:
-        """Rows ``A_cc[row_start:row_stop, :]`` from closed-form modal rows.
+    def contact_block_matrix(self, max_batch: int = 256) -> np.ndarray:
+        """Dense ``A_cc`` assembled from closed-form modal rows (fast path).
 
         The forward transform of a unit panel vector is an outer product of
         cosine columns, ``C_o e_p = d_x cos_x[:, i_p] (x) d_y cos_y[:, j_p]``,
         so each row of ``A_cc`` costs only the *backward* transform of its
         weighted modal image — half the work of :meth:`apply_contact_panels`
-        and no scatter.  Feeds the factor-once direct solve (whole matrix via
-        :meth:`contact_block_matrix`) and the tiled out-of-core engine, which
-        assembles one row block at a time and never holds all of ``A_cc``.
+        and no scatter.  Rows are transformed ``max_batch`` at a time; the
+        result feeds the factor-once multi-RHS direct solve.
         """
         if self._cos_x is None or self._cos_y is None:
             self._build_cosine_matrices()
         grid = self.grid
         nx, ny = grid.nx, grid.ny
         cp = grid.all_contact_panels
-        row_panels = cp[row_start:row_stop]
         dx = np.where(np.arange(nx) == 0, np.sqrt(1.0 / nx), np.sqrt(2.0 / nx))
         dy = np.where(np.arange(ny) == 0, np.sqrt(1.0 / ny), np.sqrt(2.0 / ny))
         cox = dx[:, None] * self._cos_x  # orthonormal DCT-II basis columns
         coy = dy[:, None] * self._cos_y
-        out = np.empty((row_panels.size, grid.n_contact_panels))
-        for start in range(0, row_panels.size, max_batch):
-            panels = row_panels[start:start + max_batch]
+        out = np.empty((cp.size, cp.size))
+        for start in range(0, cp.size, max_batch):
+            panels = cp[start:start + max_batch]
             modal = (
                 self.weights_ortho
                 * cox[:, panels // ny].T[:, :, None]
@@ -261,12 +257,3 @@ class SurfaceOperator:
             )
             out[start:start + panels.size] = rows.reshape(panels.size, -1)[:, cp]
         return out
-
-    def contact_block_matrix(self, max_batch: int = 256) -> np.ndarray:
-        """Dense ``A_cc`` assembled from closed-form modal rows (fast path).
-
-        See :meth:`contact_block_rows`; this materialises all rows at once
-        and feeds the in-core factor-once multi-RHS direct solve.
-        """
-        ncp = self.grid.n_contact_panels
-        return self.contact_block_rows(0, ncp, max_batch=max_batch)

@@ -11,21 +11,14 @@ fundamentally different ways to serve a block of right-hand sides:
   (Cholesky, or a bordered/Schur-complement factorisation for the floating
   saddle system) and turn every further column into two triangular solves.
   Cost is ``O(ncp^3)`` once plus ``O(ncp^2)`` per column.
-* **tiled** — the same factor-once mathematics carried out-of-core
-  (:mod:`repro.substrate.tiled`): the contact block is assembled and factored
-  tile by tile, spilling to a memmapped scratch file past the cache budget.
-  Same flop count as ``direct`` with every touched byte paying an I/O
-  penalty; it exists for panel counts **above** ``max_direct_panels``, where
-  the in-core dense factor is not allowed to exist.
 
 No path wins everywhere: the direct path is ~1.7x faster for full dense
 extraction at ``n_side = 32`` but pure waste for a handful of columns on a
-fresh solver, while the iterative path is unbeatable for narrow blocks and —
-below ``max_direct_panels`` — the only alternative to the dense factor.
-:class:`DispatchPolicy` picks the path per ``solve_many`` block from a
-calibrated crossover model of ``(n_panels, n_rhs, grid size)``, with optional
-one-shot auto-tune probes (dense and sparse) that rescale the model's machine
-constants, and a ``force_path`` override for debugging and benchmarking.
+fresh solver, while the iterative path is unbeatable for narrow blocks and is
+the only path above ``max_direct_panels``, where the dense factor is not
+allowed to exist.  :class:`DispatchPolicy` picks the path per ``solve_many``
+block from a calibrated crossover model of ``(n_panels, n_rhs, grid size)``,
+with a ``force_path`` override for debugging and benchmarking.
 
 The module also hosts :func:`resolve_fft_workers`, the single place where the
 ``workers=`` argument of every ``scipy.fft`` DCT call in the package is gated
@@ -35,7 +28,6 @@ on :func:`os.cpu_count`.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +41,11 @@ __all__ = [
 ]
 
 #: the engines a block can be routed to
-DISPATCH_PATHS = ("direct", "tiled", "iterative")
+DISPATCH_PATHS = ("direct", "iterative")
+
+#: narrowest block worth a fresh factorisation when no factor is cached
+#: (guards the cost model against degenerate one-column inputs)
+MIN_DIRECT_RHS = 2
 
 
 def resolve_fft_workers(workers: int | None = None) -> int | None:
@@ -100,13 +96,10 @@ class SolveCostModel:
     """
 
     #: relative cost of one flop of the stacked-DCT apply pipeline.
-    #: Recalibrated against the PR-4 reference measurements at n_side=32
-    #: (ncp=4096, k=1024, 128x128 grid): iterative extraction measured 5.6 s
+    #: Calibrated against the reference measurement at n_side=32 (ncp=4096,
+    #: k=1024, 128x128 grid, grounded): iterative extraction measured 5.6 s
     #: against 0.9 s for the cold in-core direct path, a 6.2x ratio, which
-    #: the model reproduces at fft_unit ~= 45 (the previous value of 12
-    #: under-weighted the scattered DCT pipeline enough that the model called
-    #: iterative cheaper than the tiled factor when the measurement said
-    #: otherwise).
+    #: the model reproduces at fft_unit ~= 45.
     fft_unit: float = 45.0
     #: relative cost of one flop of the dense ``A_cc`` row assembly
     assembly_unit: float = 3.0
@@ -131,17 +124,6 @@ class SolveCostModel:
     fd_iteration_units: float = 60.0
     #: default expected FD PCG iterations when the caller has no estimate
     iterations_fd: float = 16.0
-    #: I/O penalty of the out-of-core tiled engine: every flop of the tiled
-    #: factorisation and its triangular solves streams tiles through the
-    #: page cache instead of staying in registers/L2, so it is charged this
-    #: multiple of the in-core dense cost.  Calibrated against the PR-4
-    #: measurements at ncp=4096: tiled extraction 3.7-4.1 s against 0.9 s
-    #: in-core direct (a ~4.4x ratio once the transform-bound assembly term
-    #: is taken out), matched at tiled_io_unit ~= 5.  Together with the
-    #: recalibrated ``fft_unit`` the model now places tiled (~0.70x the
-    #: iterative cost) on the measured side (~0.71x) of the grounded
-    #: crossover at that scale.
-    tiled_io_unit: float = 5.0
 
     def _fft_apply_units(self, grid_points: int) -> float:
         return self.fft_flops_per_point * grid_points * max(np.log2(grid_points), 1.0)
@@ -176,28 +158,6 @@ class SolveCostModel:
             + self.vector_ops_per_iteration * n_panels * self.axpy_unit
         )
         return iters * n_rhs * per_column_iteration
-
-    def tiled_cost(
-        self,
-        n_panels: int,
-        n_rhs: int,
-        grid_points: int,
-        factor_cached: bool,
-        grounded: bool,
-    ) -> float:
-        """Estimated cost of the out-of-core tiled factor for the block.
-
-        Identical flop structure to :meth:`direct_cost` with the factor and
-        triangular-solve terms scaled by ``tiled_io_unit`` (the assembly term
-        is transform-bound either way and is charged at the same rate).
-        """
-        cost = 2.0 * float(n_panels) ** 2 * n_rhs * self.tiled_io_unit
-        if not grounded:
-            cost += 4.0 * n_panels * n_rhs * self.axpy_unit
-        if not factor_cached:
-            cost += float(n_panels) ** 3 / 3.0 * self.tiled_io_unit
-            cost += n_panels * self._fft_apply_units(grid_points) * self.assembly_unit
-        return cost
 
     def sparse_direct_cost(
         self, n_nodes: int, n_rhs: int, factor_cached: bool
@@ -240,34 +200,16 @@ class DispatchPolicy:
         Ceiling on contact panels for which a dense factorisation may be built
         and cached (memory is ``O(ncp^2)``); ``0`` disables the direct path.
     force_path:
-        ``"direct"``, ``"tiled"`` or ``"iterative"`` pins every block to one
-        engine (debugging / benchmarking).  A forced direct or tiled path
-        still falls back to iterative when the factorisation is impossible
-        (too many panels, or a failed factorisation), with the reason
-        recorded on the decision.
+        ``"direct"`` or ``"iterative"`` pins every block to one engine
+        (debugging / benchmarking).  A forced direct path still falls back to
+        iterative when the factorisation is impossible (too many panels, or a
+        failed factorisation), with the reason recorded on the decision.
     cost_model:
         The crossover model; defaults to a calibrated :class:`SolveCostModel`.
-    auto_tune:
-        Run one-shot timing probes on the first decision and rescale the
-        model's machine constants: ``choose`` probes dense Cholesky vs. the
-        stacked DCT (``fft_unit``), ``choose_sparse`` probes a sparse LU of a
-        grid Laplacian vs. its matvec (``sparse_factor_unit`` /
-        ``fd_iteration_units``).
-    min_direct_rhs:
-        Never factor for blocks narrower than this when no factor is cached
-        (guards the cost model against degenerate inputs).
     max_direct_nodes:
         Ceiling on FD grid nodes for which a sparse LU may be built
         (:meth:`choose_sparse`); fill memory grows like ``n^(4/3)``, so very
         fine grids must stay iterative.  ``0`` disables the FD direct path.
-    max_tiled_panels:
-        Ceiling on contact panels for the out-of-core tiled engine
-        (:mod:`repro.substrate.tiled`).  Adaptive routing considers the tiled
-        path only **above** ``max_direct_panels`` (in-core always wins below
-        it); a forced ``"tiled"`` path runs at any size up to this ceiling.
-        ``0`` disables the tiled path; the default (``None``) resolves to
-        32768 panels — or to 0 when ``max_direct_panels`` is 0, preserving
-        that knob's documented "iterative only" meaning.
     """
 
     def __init__(
@@ -275,10 +217,7 @@ class DispatchPolicy:
         max_direct_panels: int = 4096,
         force_path: str | None = None,
         cost_model: SolveCostModel | None = None,
-        auto_tune: bool = False,
-        min_direct_rhs: int = 2,
         max_direct_nodes: int = 200_000,
-        max_tiled_panels: int | None = None,
     ) -> None:
         if force_path is not None and force_path not in DISPATCH_PATHS:
             raise ValueError(
@@ -287,111 +226,7 @@ class DispatchPolicy:
         self.max_direct_panels = int(max_direct_panels)
         self.force_path = force_path
         self.cost_model = cost_model if cost_model is not None else SolveCostModel()
-        self.auto_tune = bool(auto_tune)
-        self.min_direct_rhs = int(min_direct_rhs)
         self.max_direct_nodes = int(max_direct_nodes)
-        if max_tiled_panels is None:
-            # max_direct_panels=0 is the documented "iterative only" switch;
-            # it must not leave a factored back door through the tiled tier
-            max_tiled_panels = 0 if self.max_direct_panels == 0 else 32_768
-        self.max_tiled_panels = int(max_tiled_panels)
-        self._tuned = False
-        self._sparse_tuned = False
-
-    # -------------------------------------------------------------- auto-tune
-    def auto_tune_probe(self, size: int = 160, batch: int = 8, grid: int = 64) -> float:
-        """One-shot machine probe: measured DCT-vs-Cholesky flop-cost ratio.
-
-        Times a small dense Cholesky (BLAS-3 throughput) against a stacked 2-D
-        DCT round trip (transform-pipeline throughput) and updates
-        ``cost_model.fft_unit`` with the measured ratio, clamped to a sane
-        range.  Runs at most once per policy; returns the ratio used.
-        """
-        if self._tuned:
-            return self.cost_model.fft_unit
-        self._tuned = True
-        try:
-            from scipy import fft as sp_fft
-
-            rng = np.random.default_rng(0)
-            a = rng.standard_normal((size, size))
-            spd = a @ a.T + size * np.eye(size)
-            start = time.perf_counter()
-            np.linalg.cholesky(spd)
-            chol_s = max(time.perf_counter() - start, 1e-9)
-            chol_per_flop = chol_s / (size**3 / 3.0)
-
-            block = rng.standard_normal((batch, grid, grid))
-            start = time.perf_counter()
-            modal = sp_fft.dctn(block, type=2, norm="ortho", axes=(1, 2))
-            sp_fft.idctn(modal, type=2, norm="ortho", axes=(1, 2))
-            fft_s = max(time.perf_counter() - start, 1e-9)
-            points = batch * grid * grid
-            fft_per_flop = fft_s / (
-                self.cost_model.fft_flops_per_point * points * np.log2(grid * grid)
-            )
-            ratio = float(np.clip(fft_per_flop / chol_per_flop, 1.0, 100.0))
-        except Exception:  # pragma: no cover - probe must never break a solve
-            return self.cost_model.fft_unit
-        self.cost_model.fft_unit = ratio
-        return ratio
-
-    def auto_tune_sparse_probe(self, n_side: int = 14) -> tuple[float, float]:
-        """One-shot machine probe for the sparse (FD) crossover constants.
-
-        Factors a small 3-D grid Laplacian with ``splu`` and times one
-        multi-RHS triangular solve and one block matvec.  The triangular
-        sweep is taken as the model's reference scale (its cost in work units
-        is ``2 * fill`` by construction), and ``sparse_factor_unit`` /
-        ``fd_iteration_units`` are rescaled so the measured factor and
-        per-iteration times sit at the right ratio to it on this machine.
-        Runs at most once per policy; returns the updated pair.
-        """
-        model = self.cost_model
-        if self._sparse_tuned:
-            return model.sparse_factor_unit, model.fd_iteration_units
-        self._sparse_tuned = True
-        try:
-            from scipy import sparse as sp
-            from scipy.sparse.linalg import splu
-
-            m = int(n_side)
-            one = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
-            eye = sp.identity(m)
-            lap = (
-                sp.kron(sp.kron(one, eye), eye)
-                + sp.kron(sp.kron(eye, one), eye)
-                + sp.kron(sp.kron(eye, eye), one)
-                + sp.identity(m**3)
-            ).tocsc()
-            n = lap.shape[0]
-            rng = np.random.default_rng(0)
-            b = rng.standard_normal((n, 8))
-
-            start = time.perf_counter()
-            lu = splu(lap)
-            factor_s = max(time.perf_counter() - start, 1e-9)
-            start = time.perf_counter()
-            lu.solve(b)
-            solve_s = max(time.perf_counter() - start, 1e-9) / b.shape[1]
-            start = time.perf_counter()
-            for _ in range(4):
-                lap @ b
-            matvec_s = max(time.perf_counter() - start, 1e-9) / (4 * b.shape[1])
-
-            # reference scale: the per-column triangular sweep costs 2*fill
-            # work units by definition, and `solve_s` seconds as measured
-            fill = model.sparse_fill_unit * float(n) ** (4.0 / 3.0)
-            units_per_second = 2.0 * fill / solve_s
-            # one PCG iteration ~ matvec + preconditioner + vector updates
-            # (~3 matvec-equivalents, the calibration used by the defaults)
-            iter_units = 3.0 * matvec_s * units_per_second / n
-            factor_units = factor_s * units_per_second / float(n) ** 2
-            model.fd_iteration_units = float(np.clip(iter_units, 5.0, 2000.0))
-            model.sparse_factor_unit = float(np.clip(factor_units, 0.5, 500.0))
-        except Exception:  # pragma: no cover - probe must never break a solve
-            return model.sparse_factor_unit, model.fd_iteration_units
-        return model.sparse_factor_unit, model.fd_iteration_units
 
     # --------------------------------------------------------------- decision
     def choose(
@@ -402,26 +237,17 @@ class DispatchPolicy:
         grounded: bool,
         factor_cached: bool = False,
         factor_failed: bool = False,
-        tiled_factor_cached: bool = False,
     ) -> DispatchDecision:
         """Route one ``solve_many`` block.
 
         The decision is made once per block on the *full* column count — the
         chosen engine then applies its own ``max_batch`` memory chunking — so
         the one-time factorisation cost is amortised over the whole block, not
-        over a single chunk.  ``factor_cached`` refers to the in-core dense
-        factor, ``tiled_factor_cached`` to a finished out-of-core tiled
-        factor held by the solver; ``factor_failed`` latches a failed
-        Cholesky of ``A_cc`` and disables both factored paths (same matrix,
-        same failure).
+        over a single chunk.  ``factor_cached`` refers to the dense factor
+        (held by the solver or warm in the process-wide cache);
+        ``factor_failed`` latches a failed factorisation of ``A_cc``.
         """
-        if self.auto_tune and not self._tuned:
-            self.auto_tune_probe()
-
-        direct_possible = (
-            not factor_failed and 0 < n_panels <= self.max_direct_panels
-        )
-        tiled_possible = not factor_failed and 0 < n_panels <= self.max_tiled_panels
+        direct_possible = not factor_failed and 0 < n_panels <= self.max_direct_panels
         if self.force_path is not None:
             if self.force_path == "direct" and not direct_possible:
                 return DispatchDecision(
@@ -429,72 +255,33 @@ class DispatchPolicy:
                     "forced direct path unavailable "
                     + ("(factorisation failed)" if factor_failed else "(panel ceiling)"),
                 )
-            if self.force_path == "tiled" and not tiled_possible:
-                return DispatchDecision(
-                    "iterative",
-                    "forced tiled path unavailable "
-                    + ("(factorisation failed)" if factor_failed else "(panel ceiling)"),
-                )
             return DispatchDecision(self.force_path, "forced")
-        if direct_possible:
-            if not factor_cached and n_rhs < self.min_direct_rhs:
-                return DispatchDecision(
-                    "iterative",
-                    f"block narrower than min_direct_rhs {self.min_direct_rhs}",
-                )
-            direct = self.cost_model.direct_cost(
-                n_panels, n_rhs, grid_points, factor_cached, grounded
+        if not direct_possible:
+            reason = (
+                "factorisation previously failed"
+                if factor_failed
+                else f"n_panels {n_panels} exceeds max_direct_panels {self.max_direct_panels}"
             )
-            iterative = self.cost_model.iterative_cost(
-                n_panels, n_rhs, grid_points, grounded
-            )
-            if direct <= iterative:
-                return DispatchDecision(
-                    "direct",
-                    "cached factor" if factor_cached else "crossover model",
-                    direct_cost=direct,
-                    iterative_cost=iterative,
-                )
+            return DispatchDecision("iterative", reason)
+        if not factor_cached and n_rhs < MIN_DIRECT_RHS:
             return DispatchDecision(
-                "iterative",
-                "crossover model",
+                "iterative", f"block narrower than MIN_DIRECT_RHS {MIN_DIRECT_RHS}"
+            )
+        direct = self.cost_model.direct_cost(n_panels, n_rhs, grid_points, factor_cached, grounded)
+        iterative = self.cost_model.iterative_cost(n_panels, n_rhs, grid_points, grounded)
+        if direct <= iterative:
+            return DispatchDecision(
+                "direct",
+                "cached factor" if factor_cached else "crossover model",
                 direct_cost=direct,
                 iterative_cost=iterative,
             )
-        if tiled_possible:
-            # above the in-core ceiling: out-of-core factor vs. iterating
-            if not tiled_factor_cached and n_rhs < self.min_direct_rhs:
-                return DispatchDecision(
-                    "iterative",
-                    f"block narrower than min_direct_rhs {self.min_direct_rhs}",
-                )
-            tiled = self.cost_model.tiled_cost(
-                n_panels, n_rhs, grid_points, tiled_factor_cached, grounded
-            )
-            iterative = self.cost_model.iterative_cost(
-                n_panels, n_rhs, grid_points, grounded
-            )
-            if tiled <= iterative:
-                return DispatchDecision(
-                    "tiled",
-                    "cached tiled factor"
-                    if tiled_factor_cached
-                    else "tiled crossover model",
-                    direct_cost=tiled,
-                    iterative_cost=iterative,
-                )
-            return DispatchDecision(
-                "iterative",
-                "tiled crossover model",
-                direct_cost=tiled,
-                iterative_cost=iterative,
-            )
-        reason = (
-            "factorisation previously failed"
-            if factor_failed
-            else f"n_panels {n_panels} exceeds max_tiled_panels {self.max_tiled_panels}"
+        return DispatchDecision(
+            "iterative",
+            "crossover model",
+            direct_cost=direct,
+            iterative_cost=iterative,
         )
-        return DispatchDecision("iterative", reason)
 
     def choose_sparse(
         self,
@@ -512,13 +299,7 @@ class DispatchPolicy:
         speed and a fixed iteration constant would misroute the fast-Poisson
         path.  The block-level decision amortises the one-time sparse
         factorisation over the whole block width.
-
-        With ``auto_tune`` the first sparse decision runs
-        :meth:`auto_tune_sparse_probe` to rescale the sparse cost constants
-        to this machine (the ROADMAP's FD counterpart of the dense probe).
         """
-        if self.auto_tune and not self._sparse_tuned:
-            self.auto_tune_sparse_probe()
         direct_possible = not factor_failed and 0 < n_nodes <= self.max_direct_nodes
         if self.force_path is not None:
             if self.force_path == "direct" and not direct_possible:
@@ -535,9 +316,9 @@ class DispatchPolicy:
                 else f"n_nodes {n_nodes} exceeds max_direct_nodes {self.max_direct_nodes}"
             )
             return DispatchDecision("iterative", reason)
-        if not factor_cached and n_rhs < self.min_direct_rhs:
+        if not factor_cached and n_rhs < MIN_DIRECT_RHS:
             return DispatchDecision(
-                "iterative", f"block narrower than min_direct_rhs {self.min_direct_rhs}"
+                "iterative", f"block narrower than MIN_DIRECT_RHS {MIN_DIRECT_RHS}"
             )
         direct = self.cost_model.sparse_direct_cost(n_nodes, n_rhs, factor_cached)
         iterative = self.cost_model.sparse_iterative_cost(
@@ -560,5 +341,5 @@ class DispatchPolicy:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"DispatchPolicy(max_direct_panels={self.max_direct_panels}, "
-            f"force_path={self.force_path!r}, auto_tune={self.auto_tune})"
+            f"force_path={self.force_path!r})"
         )

@@ -84,7 +84,6 @@ DEFAULT_BUDGET_BYTES = 512 * 1024 * 1024
 #: cheap to rebuild and stay RAM-only)
 PERSISTED_FACTOR_KINDS = (
     "bem_direct_factor",
-    "bem_tiled_factor",
     "fd_direct_factor",
 )
 
@@ -487,14 +486,9 @@ def _flatten_factor(factor: Any) -> tuple[dict, list[np.ndarray]]:
 
     Supported shapes are exactly the factor kinds the solvers cache: the BEM
     dense tuples (``("chol", (c, lower))``, ``("schur", (c, lower), w, s)``,
-    ``("bordered", lu, piv)``), the in-RAM tiled tuples
-    (``("tiled_chol", tf)``, ``("tiled_schur", tf, w, s)`` around a
-    non-spilled :class:`~repro.substrate.tiled.TiledCholeskyFactor`) and
-    sparse LUs (native SuperLU or an already reconstructed
-    :class:`SharedSparseLU`).  Raises ``TypeError`` for anything else —
-    including a *spilled* tiled factor, which is its scratch file and has
-    nothing to put in shared memory — so callers can skip unshippable cache
-    entries.
+    ``("bordered", lu, piv)``) and sparse LUs (native SuperLU or an already
+    reconstructed :class:`SharedSparseLU`).  Raises ``TypeError`` for
+    anything else, so callers can skip unshippable cache entries.
     """
     if isinstance(factor, tuple) and factor and isinstance(factor[0], str):
         kind = factor[0]
@@ -513,16 +507,6 @@ def _flatten_factor(factor: Any) -> tuple[dict, list[np.ndarray]]:
                 np.ascontiguousarray(lu),
                 np.ascontiguousarray(piv),
             ]
-        if kind in ("tiled_chol", "tiled_schur"):
-            tf = factor[1]
-            if getattr(tf, "spilled", True) or getattr(tf, "_l", None) is None:
-                raise TypeError("spilled or closed tiled factors cannot be shared")
-            meta = {"factor": kind, "tile": int(tf.tile)}
-            arrays = [np.ascontiguousarray(tf._l)]
-            if kind == "tiled_schur":
-                meta["s"] = float(factor[3])
-                arrays.append(np.ascontiguousarray(factor[2]))
-            return meta, arrays
         raise TypeError(f"unknown dense factor kind {kind!r}")
     if isinstance(factor, SharedSparseLU):
         return {"factor": "sparse_lu", "shape": factor.shape}, [
@@ -544,13 +528,6 @@ def _rebuild_factor(meta: dict, arrays: list[np.ndarray]) -> Any:
         return ("bordered", arrays[0], arrays[1])
     if kind == "sparse_lu":
         return SharedSparseLU(*arrays, shape=tuple(meta["shape"]))
-    if kind in ("tiled_chol", "tiled_schur"):
-        from .tiled import TiledCholeskyFactor
-
-        tf = TiledCholeskyFactor.from_factored_array(arrays[0], tile=meta["tile"])
-        if kind == "tiled_chol":
-            return ("tiled_chol", tf)
-        return ("tiled_schur", tf, arrays[1], meta["s"])
     raise TypeError(f"unknown flattened factor kind {kind!r}")
 
 
@@ -731,8 +708,7 @@ class FactorArtifactStore:
         are skipped with a warning, never raised to the solver.
 
     Only the :data:`PERSISTED_FACTOR_KINDS` are handled; values that the
-    flatten contract cannot serialise (e.g. a *spilled* tiled factor, which
-    is its scratch file) are silently skipped.  All methods are thread-safe.
+    flatten contract cannot serialise are silently skipped.  All methods are thread-safe.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:

@@ -218,7 +218,6 @@ def _init_worker(
     prepare_direct: bool,
     unregister_shm: bool,
     shared_handles: tuple = (),
-    prepare_tiled: bool = False,
 ) -> None:
     global _WORKER_SOLVER, _WORKER_UNREGISTER_SHM, _WORKER_FACTOR_REPORTED
     _WORKER_UNREGISTER_SHM = unregister_shm
@@ -240,10 +239,6 @@ def _init_worker(
     _WORKER_SOLVER = spec.build(**overrides)
     if prepare_direct:
         prepare = getattr(_WORKER_SOLVER, "prepare_direct", None)
-        if prepare is not None:
-            prepare()
-    if prepare_tiled:
-        prepare = getattr(_WORKER_SOLVER, "prepare_tiled", None)
         if prepare is not None:
             prepare()
     stats = getattr(_WORKER_SOLVER, "stats", None)
@@ -396,20 +391,13 @@ class ParallelExtractor(SubstrateSolver):
         extraction measures solves only.  With ``share_factors`` the factor
         is built **once in the parent** and published to the plane; without
         it every worker runs its own ``prepare_direct()``.
-    prepare_tiled:
-        Same warm-up hook for the out-of-core tiled factorisation
-        (``prepare_tiled()`` on solvers that have one).  In-RAM tiled
-        factors travel through the factor plane like dense ones; spilled
-        factors stay per-process and every worker rebuilds its own.
     min_parallel_columns:
         Blocks narrower than this are solved inline; sharding two columns
         across processes costs more in IPC than it saves.
     use_shared_memory:
         Write result shards into one ``multiprocessing.shared_memory`` block
         (automatic fallback to pickled returns when allocation fails).
-    start_method:
-        Override the multiprocessing start method (default: ``"fork"`` where
-        available, else ``"spawn"``).
+        Workers start with ``"fork"`` where available, else ``"spawn"``.
     share_factors:
         Publish the parent's cached direct factor through a shared-memory
         :class:`~repro.substrate.factor_cache.FactorPlane` so workers attach
@@ -425,9 +413,7 @@ class ParallelExtractor(SubstrateSolver):
         prepare_direct: bool = False,
         min_parallel_columns: int = 8,
         use_shared_memory: bool = True,
-        start_method: str | None = None,
         share_factors: bool = True,
-        prepare_tiled: bool = False,
         max_pool_rebuilds: int = 2,
     ) -> None:
         self.spec = spec
@@ -436,13 +422,10 @@ class ParallelExtractor(SubstrateSolver):
         if self.n_workers < 1:
             raise ValueError("n_workers must be at least 1")
         self.prepare_direct = bool(prepare_direct)
-        self.prepare_tiled = bool(prepare_tiled)
         self.min_parallel_columns = int(min_parallel_columns)
         self.use_shared_memory = bool(use_shared_memory)
         self.share_factors = bool(share_factors)
-        self._context = (
-            mp.get_context(start_method) if start_method else _default_context()
-        )
+        self._context = _default_context()
         #: merged per-process solve statistics of everything this extractor ran
         self.stats = SolveStats()
         #: gauge constants of the most recent floating-backplane block
@@ -466,75 +449,54 @@ class ParallelExtractor(SubstrateSolver):
         # spawn a second level of threads (oversubscription)
         return {} if self.spec.kind == "dense" else {"fft_workers": 1}
 
-    def _parent_factors(self) -> list[tuple[tuple, Any]]:
-        """Every parent-held factor worth shipping, as ``(key, factor)`` pairs.
+    def _parent_factor(self) -> tuple[tuple, Any] | None:
+        """The parent-held factor worth shipping, as a ``(key, factor)`` pair.
 
-        Prefers the factor objects held by the local solver (no cache-counter
+        Prefers the factor object held by the local solver (no cache-counter
         traffic); falls back to the process-wide cache.  With
-        ``prepare_direct`` / ``prepare_tiled`` the parent builds the factor
-        here — once, for the whole fleet — before the pool starts.  Spilled
-        tiled factors are skipped at publish time (they are scratch files,
-        not shippable pages).
+        ``prepare_direct`` the parent builds the factor here — once, for the
+        whole fleet — before the pool starts.
         """
         local = self._local_solver()
-        held: list[tuple[tuple, Any]] = []
         key = getattr(local, "factor_cache_key", None)
-        if key is not None:
-            if self.prepare_direct:
-                prepare = getattr(local, "prepare_direct", None)
-                if prepare is not None:
-                    prepare()
-            factor = getattr(local, "_direct_factor", None)
-            if factor is None:
-                engine = getattr(local, "_direct_engine", None)
-                if engine is not None:
-                    factor = engine._lu
-            if factor is None and factor_cache().contains(key):
-                factor = factor_cache().get(key)
-            if factor is not None:
-                held.append((key, factor))
-        tiled_key = getattr(local, "tiled_factor_cache_key", None)
-        if tiled_key is not None:
-            if self.prepare_tiled:
-                prepare = getattr(local, "prepare_tiled", None)
-                if prepare is not None:
-                    prepare()
-            tiled = getattr(local, "_tiled_factor", None)
-            if tiled is None and factor_cache().contains(tiled_key):
-                tiled = factor_cache().get(tiled_key)
-            if tiled is not None:
-                held.append((tiled_key, tiled))
-        return held
+        if key is None:
+            return None
+        if self.prepare_direct:
+            prepare = getattr(local, "prepare_direct", None)
+            if prepare is not None:
+                prepare()
+        factor = getattr(local, "_direct_factor", None)
+        if factor is None:
+            engine = getattr(local, "_direct_engine", None)
+            if engine is not None:
+                factor = engine._lu
+        if factor is None and factor_cache().contains(key):
+            factor = factor_cache().get(key)
+        return None if factor is None else (key, factor)
 
     def _export_factor_handles(self) -> tuple:
-        """Publish the parent's factors to a shared plane; returns the handles."""
+        """Publish the parent's factor to a shared plane; returns the handles."""
         if not self.share_factors or self.spec.kind == "dense":
             return ()
         if not self.spec.options.get("use_factor_cache", True):
             # workers built with a disabled factor cache never consult it,
             # so an attached payload could not reach them
             return ()
-        held = self._parent_factors()
-        if not held:
+        held = self._parent_factor()
+        if held is None:
             return ()
+        key, factor = held
         plane = FactorPlane()
-        handles = []
-        keys = []
-        for key, factor in held:
-            try:
-                handles.append(plane.publish(key, factor))
-            except (TypeError, OSError, ValueError):
-                # unshippable factor kind (spilled tiled factor) or no shared
-                # memory on this platform — workers fall back to their own
-                # factorisation for this one
-                continue
-            keys.append(key)
-        if not handles:
+        try:
+            handle = plane.publish(key, factor)
+        except (TypeError, OSError, ValueError):
+            # unshippable factor kind or no shared memory on this platform —
+            # workers fall back to their own factorisation
             plane.unlink()
             return ()
         self._plane = plane
-        self.published_factor_keys = keys
-        return tuple(handles)
+        self.published_factor_keys = [key]
+        return (handle,)
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -562,7 +524,6 @@ class ParallelExtractor(SubstrateSolver):
                     self.prepare_direct,
                     not fork,
                     handles,
-                    self.prepare_tiled,
                 ),
             )
         return self._pool
@@ -590,10 +551,6 @@ class ParallelExtractor(SubstrateSolver):
             local = self._local_solver()
             if self.prepare_direct:
                 prepare = getattr(local, "prepare_direct", None)
-                if prepare is not None:
-                    prepare()
-            if self.prepare_tiled:
-                prepare = getattr(local, "prepare_tiled", None)
                 if prepare is not None:
                     prepare()
             return

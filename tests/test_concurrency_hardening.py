@@ -1,7 +1,7 @@
 """Targeted regression tests for the fixes reprolint's first sweep forced.
 
 Each test pins one concrete repair: an error path that used to leak a
-resource (sqlite connection, tiled scratch file, shared-memory segment),
+resource (sqlite connection, shared-memory segment),
 and a counter that used to be bumped outside its lock.
 """
 
@@ -16,7 +16,6 @@ import pytest
 from importlib import import_module
 
 import repro.service.persistence as persistence_mod
-import repro.substrate.tiled as tiled_mod
 
 # ``repro.substrate`` re-exports a ``factor_cache()`` function under the same
 # name as the module, so a plain ``import ... as`` would bind the function
@@ -26,7 +25,6 @@ from repro.service import JobRequest, Scheduler
 from repro.service.persistence import JobJournal, SqliteResultBackend
 from repro.substrate.factor_cache import FactorPlane, SharedFactorHandle
 from repro.substrate.parallel import SolverSpec
-from repro.substrate.tiled import TiledCholeskyFactor
 
 
 @pytest.fixture(scope="module")
@@ -71,19 +69,6 @@ def test_journal_recover_counts_corrupt_lines_under_lock(tmp_path):
         assert journal.info()["corrupt_skipped"] == 1
     finally:
         journal.close()
-
-
-# ------------------------------------------------------- tiled scratch files
-def test_tiled_scratch_file_unlinked_when_memmap_fails(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TILED_SCRATCH_DIR", str(tmp_path))
-
-    def failing_memmap(*args, **kwargs):
-        raise OSError("cannot map scratch file")
-
-    monkeypatch.setattr(tiled_mod.np, "memmap", failing_memmap)
-    with pytest.raises(OSError, match="cannot map"):
-        TiledCholeskyFactor(n=8, spill_over_bytes=0)  # forces the spill path
-    assert list(tmp_path.iterdir()) == [], "orphaned mkstemp scratch file"
 
 
 # -------------------------------------------------- shared-memory factor plane

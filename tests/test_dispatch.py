@@ -85,22 +85,10 @@ def test_policy_cached_factor_prefers_direct_even_for_one_rhs():
 
 
 def test_policy_panel_ceiling_and_failure_force_iterative():
-    # above the dense ceiling, a wide block now lands on the tiled tier...
+    # above the dense ceiling only the iterative path remains
     policy = DispatchPolicy(max_direct_panels=100)
     assert (
         policy.choose(n_panels=101, n_rhs=512, grid_points=4096, grounded=True).path
-        == "tiled"
-    )
-    # ...unless the tiled tier is disabled, which restores pure iterative
-    policy = DispatchPolicy(max_direct_panels=100, max_tiled_panels=0)
-    assert (
-        policy.choose(n_panels=101, n_rhs=512, grid_points=4096, grounded=True).path
-        == "iterative"
-    )
-    # above *both* ceilings only the iterative path remains
-    policy = DispatchPolicy(max_direct_panels=100, max_tiled_panels=200)
-    assert (
-        policy.choose(n_panels=201, n_rhs=512, grid_points=4096, grounded=True).path
         == "iterative"
     )
     policy = DispatchPolicy()
@@ -108,14 +96,8 @@ def test_policy_panel_ceiling_and_failure_force_iterative():
         n_panels=64, n_rhs=512, grid_points=4096, grounded=True, factor_failed=True
     )
     assert d.path == "iterative"
-    # a failed A_cc Cholesky latches the tiled tier too (same matrix)
-    policy = DispatchPolicy(max_direct_panels=10)
-    d = policy.choose(
-        n_panels=64, n_rhs=512, grid_points=4096, grounded=True, factor_failed=True
-    )
-    assert d.path == "iterative"
-    # disabling both factored paths forces iterative everywhere
-    policy = DispatchPolicy(max_direct_panels=0, max_tiled_panels=0)
+    # disabling the factored path forces iterative everywhere
+    policy = DispatchPolicy(max_direct_panels=0)
     assert (
         policy.choose(n_panels=64, n_rhs=512, grid_points=4096, grounded=True).path
         == "iterative"
@@ -136,15 +118,8 @@ def test_policy_force_path_overrides_model_but_not_feasibility():
     assert d.path == "iterative"
     with pytest.raises(ValueError):
         DispatchPolicy(force_path="cholesky")
-
-
-def test_policy_auto_tune_probe_runs_once_and_keeps_sane_ratio():
-    policy = DispatchPolicy(auto_tune=True)
-    ratio = policy.auto_tune_probe()
-    assert 1.0 <= ratio <= 100.0
-    assert policy.cost_model.fft_unit == ratio
-    policy.cost_model.fft_unit = -123.0  # marker: a second probe must not overwrite
-    assert policy.auto_tune_probe() == -123.0
+    with pytest.raises(ValueError):
+        DispatchPolicy(force_path="tiled")
 
 
 def test_cost_model_monotone_in_rhs_width():
@@ -168,6 +143,15 @@ def test_resolve_fft_workers():
 
 
 # ------------------------------------------------------- solver-level routing
+def test_solver_max_direct_panels_zero_still_means_iterative_only(tiny_layout):
+    solver = EigenfunctionSolver(
+        tiny_layout, _profile(True), max_panels=32, max_direct_panels=0, fft_workers=1
+    )
+    solver.solve_many(np.eye(tiny_layout.n_contacts))
+    assert solver.last_dispatch.path == "iterative"
+    assert solver.stats.n_direct_solves == 0
+
+
 def test_solver_records_dispatch_decision(tiny_layout):
     solver = _solver(tiny_layout)
     v = np.eye(tiny_layout.n_contacts)
@@ -382,24 +366,16 @@ def test_mixed_workload_mean_iterations_regression(tiny_layout):
     assert solver.stats.n_solves == tiny_layout.n_contacts + 1
 
 
-def test_grounded_tiled_crossover_matches_pr4_measurement():
-    """Pin the PR-5 recalibration: at the PR-4 measurement point (ncp=4096,
-    k=1024 columns, 128x128 panel grid, grounded) the tiled engine measured
-    3.7-4.1s against 5.6+s iterative, so the model must route the block to
-    the tiled tier — the pre-recalibration constants (fft_unit=12,
-    tiled_io_unit=4) called iterative cheaper here."""
-    policy = DispatchPolicy(max_direct_panels=2048)
-    d = policy.choose(
-        n_panels=4096, n_rhs=1024, grid_points=128 * 128, grounded=True
-    )
-    assert d.path == "tiled"
-    # the modeled tiled/iterative ratio must sit near the measured ~4.0/5.6
-    assert 0.5 < d.direct_cost / d.iterative_cost < 0.9
-    # sanity: the old constants really did misroute this block
-    old = DispatchPolicy(
-        max_direct_panels=2048,
-        cost_model=SolveCostModel(fft_unit=12.0, tiled_io_unit=4.0),
-    )
-    assert old.choose(
-        n_panels=4096, n_rhs=1024, grid_points=128 * 128, grounded=True
-    ).path == "iterative"
+def test_grounded_in_core_crossover_matches_reference_measurement():
+    """Pin the fft_unit calibration at the reference measurement point
+    (ncp=4096, k=1024 columns, 128x128 panel grid, grounded): the cold
+    in-core direct path measured 0.9 s against 5.6 s iterative, a ratio of
+    about 0.16, so the model must route the block direct with a
+    direct/iterative cost ratio in [0.1, 0.25]."""
+    point = {"n_panels": 4096, "n_rhs": 1024, "grid_points": 128 * 128, "grounded": True}
+    d = DispatchPolicy().choose(**point)
+    assert d.path == "direct"
+    assert 0.1 <= d.direct_cost / d.iterative_cost <= 0.25
+    # sanity: the pre-recalibration fft_unit=12 puts the ratio far outside it
+    old = DispatchPolicy(cost_model=SolveCostModel(fft_unit=12.0)).choose(**point)
+    assert not 0.1 <= old.direct_cost / old.iterative_cost <= 0.25

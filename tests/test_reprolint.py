@@ -386,7 +386,6 @@ def test_annotated_modules_really_carry_annotations():
         "src/repro/service/persistence.py": "guarded-by(_lock); owned-by(SqliteResultBackend)",
         "src/repro/substrate/factor_cache.py": "guarded-by(_lock)",
         "src/repro/substrate/parallel.py": "owned-by(ParallelExtractor)",
-        "src/repro/substrate/tiled.py": "owned-by(TiledCholeskyFactor)",
     }
     for rel_path, marker in expected.items():
         text = (REPO_ROOT / rel_path).read_text(encoding="utf-8")
